@@ -76,6 +76,7 @@ class DominanceLattice:
         self._dominated = dict(dominated)
         self._by_id = {node.id: node for node in nodes}
         self._snapshot_cache: str | None = None
+        self.real_ids: tuple[str, ...] = tuple(node.id for node in nodes if not node.virtual)
 
     # -- identity ---------------------------------------------------------
 
@@ -95,10 +96,6 @@ class DominanceLattice:
         return f"DominanceLattice({len(self.real_ids)} agents, {len(self.cover_edges)} edges)"
 
     # -- plain accessors ----------------------------------------------------
-
-    @property
-    def real_ids(self) -> tuple[str, ...]:
-        return tuple(node.id for node in self.nodes if not node.virtual)
 
     def node(self, agent_id: str) -> AgentNode:
         try:

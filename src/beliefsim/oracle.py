@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import OracleDomainError
 from .lattice import DominanceLattice
-from .rules import RuleKind, expert_layers
-from .simulator import Scenario, lattices_by_step, validate_scenario
+from .simulator import Scenario, compile_voters, validate_scenario
 
 MAX_ORACLE_AGENTS = 20
 
@@ -31,7 +30,7 @@ def check_oracle_domain(scenario: Scenario) -> list[DominanceLattice]:
     Returns the per-step lattices (all sharing one dominance relation) so
     callers do not rebuild them.
     """
-    validate_scenario(scenario)
+    lattices = validate_scenario(scenario)
     n = len(scenario.agents)
     if n > MAX_ORACLE_AGENTS:
         raise OracleDomainError(
@@ -43,7 +42,6 @@ def check_oracle_domain(scenario: Scenario) -> list[DominanceLattice]:
             raise OracleDomainError(
                 f"ground truth for {prop.id!r} changes over time; enumeration needs a constant"
             )
-    lattices = lattices_by_step(scenario)
     relation0 = {a: lattices[0].experts_of(a) for a in lattices[0].real_ids}
     for step, lattice in enumerate(lattices[1:], start=1):
         relation = {a: lattice.experts_of(a) for a in lattice.real_ids}
@@ -76,28 +74,10 @@ def exact_rule_accuracy(scenario: Scenario) -> dict[str, float]:
 
     accuracies: dict[str, float] = {}
     for rule in scenario.rules:
+        voters = compile_voters(rule, lattice, scenario.topology, 0)
         receiver_correct = np.zeros((2**n, n), dtype=bool)
         for r, receiver in enumerate(agents):
-            visible = scenario.topology.visible(receiver, agents)
-            if rule.kind is RuleKind.MOST_EXPERT:
-                voters = lattice.maximal_frontier(visible)
-            elif rule.kind is RuleKind.MAJORITY:
-                voters = set(visible)
-            else:
-                experts = lattice.experts_of(receiver) & visible
-                if not experts:
-                    receiver_correct[:, r] = correct[:, r]
-                    continue
-                voters = set()
-                for layer in expert_layers(lattice, experts, rule.depth):
-                    voters |= layer
-                if rule.include_self:
-                    voters.add(receiver)
-            if len(voters) == 1:
-                (only,) = voters
-                receiver_correct[:, r] = correct[:, index[only]]
-                continue
-            cols = [index[v] for v in voters]
+            cols = [index[v] for v in voters[receiver]]
             votes = correct[:, cols].sum(axis=1)
             win = 2 * votes > len(cols)
             tie = 2 * votes == len(cols)

@@ -1,8 +1,11 @@
 """Belief-propagation rules: most-expert, majority, and expert sub-groups.
 
-Each rule is a deterministic aggregate: given the dominance lattice, the
-step's belief profile, and the sharing topology, it yields the belief a
-receiver adopts plus the set of contributors whose beliefs were counted.
+Every rule works the same way underneath: it picks a set of voters (the
+contributors) from the dominance lattice, the sharing topology and the
+receiver, then takes a majority vote over the voters' beliefs. The voter
+set never depends on beliefs, so the simulator compiles it once per
+(step, rule) from :func:`apply_rule` and votes every trial over it with
+the same :func:`_vote`.
 
 Tie policy, shared by all rules: on an exact vote tie the receiver
 retains its own prior belief and the outcome is flagged tie_broken.
@@ -13,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .beliefs import BeliefProfile, Topology, visible_profile
 from .errors import UnknownAgentError, ValidationError
@@ -72,16 +75,12 @@ class ReceiverOutcome(NamedTuple):
     tie_broken: bool
 
 
-def _vote(profile: BeliefProfile, voters: Iterable[str], own_value: bool) -> tuple[bool, bool]:
-    """Majority of voters' values; exact tie falls back to own_value."""
-    voters = list(voters)
-    ayes = sum(1 for v in voters if profile.value_of(v))
-    noes = len(voters) - ayes
-    if ayes > noes:
-        return True, False
-    if noes > ayes:
-        return False, False
-    return own_value, True
+def _vote(voters: Collection[str], value_of: Callable[[str], bool], own: bool) -> tuple[bool, bool]:
+    """(value, tie_broken) of the voters' majority; an exact tie falls back to `own`."""
+    twice_ayes = 2 * sum(map(value_of, voters))
+    if twice_ayes == len(voters):
+        return own, True
+    return twice_ayes > len(voters), False
 
 
 def apply_most_expert(
@@ -93,18 +92,15 @@ def apply_most_expert(
     """Adopt the belief of the most expert visible agent.
 
     The "most expert" is the maximal frontier of the receiver's visible
-    set (receiver included). A singleton frontier propagates directly,
-    overriding the receiver's own belief; a multi-member frontier is
-    resolved by majority vote within the frontier.
+    set (receiver included). The frontier votes by majority, so a
+    singleton frontier propagates directly, overriding the receiver's own
+    belief.
     """
     if receiver not in profile.beliefs:
         raise UnknownAgentError(f"unknown receiver {receiver!r}")
     visible = topology.visible(receiver, profile.agents)
     frontier = lattice.maximal_frontier(visible)
-    if len(frontier) == 1:
-        (expert,) = frontier
-        return ReceiverOutcome(profile.value_of(expert), frozenset(frontier), False)
-    value, tie = _vote(profile, frontier, profile.value_of(receiver))
+    value, tie = _vote(frontier, profile.value_of, profile.value_of(receiver))
     return ReceiverOutcome(value, frozenset(frontier), tie)
 
 
@@ -116,7 +112,7 @@ def apply_majority(profile_visible: BeliefProfile, receiver: str) -> ReceiverOut
     if receiver not in profile_visible.beliefs:
         raise UnknownAgentError(f"unknown receiver {receiver!r}")
     voters = profile_visible.agents
-    value, tie = _vote(profile_visible, voters, profile_visible.value_of(receiver))
+    value, tie = _vote(voters, profile_visible.value_of, profile_visible.value_of(receiver))
     return ReceiverOutcome(value, voters, tie)
 
 
@@ -145,8 +141,8 @@ def apply_subgroup_expert(
 
     Layer 1 is the maximal frontier of the receiver's visible experts,
     layer 2 the frontier of the remainder, and so on. The receiver joins
-    the vote iff include_self is set; with no visible experts the result
-    is the receiver's own belief.
+    the vote iff include_self is set; with no visible experts the receiver
+    is the only voter, so the result is its own belief.
     """
     if depth < 1:
         raise ValidationError(f"depth must be >= 1, got {depth}")
@@ -154,15 +150,12 @@ def apply_subgroup_expert(
         raise UnknownAgentError(f"unknown receiver {receiver!r}")
     visible = topology.visible(receiver, profile.agents)
     experts = lattice.experts_of(receiver) & visible
-    own_value = profile.value_of(receiver)
-    if not experts:
-        return ReceiverOutcome(own_value, frozenset({receiver}), False)
     contributors: set[str] = set()
     for layer in expert_layers(lattice, experts, depth):
         contributors |= layer
-    if include_self:
+    if include_self or not experts:
         contributors.add(receiver)
-    value, tie = _vote(profile, contributors, own_value)
+    value, tie = _vote(contributors, profile.value_of, profile.value_of(receiver))
     return ReceiverOutcome(value, frozenset(contributors), tie)
 
 

@@ -288,10 +288,6 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
         except ValidationError as exc:
             raise _fail(f"rules[{i}]", str(exc)) from None
 
-    seed = _as_int(data["seed"], "seed", minimum=0)
-    if seed >= 2**64:
-        raise _fail("seed", "must fit in 64 bits")
-
     scenario = Scenario(
         schema=schema,
         agents=agents,
@@ -302,7 +298,7 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
         rules=tuple(rules),
         steps=_as_int(data["steps"], "steps", minimum=1),
         trials=_as_int(data["trials"], "trials", minimum=1),
-        seed=seed,
+        seed=_as_int(data["seed"], "seed"),
         drift=_parse_drift(data.get("drift")),
         name=name,
     )

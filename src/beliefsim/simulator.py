@@ -8,6 +8,10 @@ program; randomness enters only through observation streams keyed by
 the whole run is reproducible bit-for-bit, with any number of worker
 threads.
 
+Rules are compiled once per (step, rule): each receiver's voters depend
+only on the step's lattice, the topology and the receiver, so they are
+read once from :func:`apply_rule` and every trial votes over them.
+
 Trace records are flat: one per (trial, step, rule), with per-proposition
 maps inside. Metrics are a pure function of the trace plus the scenario's
 truth schedules; recomputing them from a persisted trace reproduces the
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .beliefs import (
+    Belief,
     BeliefProfile,
     ErrorModel,
     GroundTruthSchedule,
@@ -34,7 +39,7 @@ from .beliefs import (
 from .errors import ValidationError
 from .features import Direction, Feature, FeatureSchema, FeatureVector
 from .lattice import DominanceLattice, build
-from .rules import MAJORITY, MOST_EXPERT, Rule, RuleKind, apply_rule
+from .rules import MAJORITY, MOST_EXPERT, Rule, RuleKind, _vote, apply_rule
 
 _Z95 = 1.96
 
@@ -72,8 +77,13 @@ class Scenario:
     name: str = "scenario"
 
 
-def validate_scenario(scenario: Scenario) -> None:
-    """Check cross-field consistency; raises ValidationError before any trial runs."""
+def validate_scenario(scenario: Scenario) -> list[DominanceLattice]:
+    """Check cross-field consistency; raises ValidationError before any trial runs.
+
+    Returns the per-step lattices it builds, so callers do not rebuild them.
+    """
+    if not 0 <= scenario.seed < 2**64:
+        raise ValidationError(f"seed: must be in [0, 2**64), got {scenario.seed}")
     if scenario.steps < 1:
         raise ValidationError("steps must be >= 1")
     if scenario.trials < 1:
@@ -122,36 +132,39 @@ def validate_scenario(scenario: Scenario) -> None:
     for lattice in lattices:
         for agent_id in lattice.real_ids:
             scenario.error_model.probability_for(agent_id, lattice)
+    return lattices
 
 
 def lattices_by_step(scenario: Scenario) -> list[DominanceLattice]:
     """Lattice at each step after applying the drift program so far.
 
     Drift is trial-independent, so this sequence is shared by all trials.
+    A step with drift events rebuilds the lattice once, after all of them.
     """
     lattice = build(scenario.schema, scenario.agents)
-    values = {agent_id: list(vec.values) for agent_id, vec in scenario.agents}
+    vectors = dict(scenario.agents)
     result: list[DominanceLattice] = []
     events_by_step: dict[int, list[DriftEvent]] = {}
     for event in scenario.drift:
         events_by_step.setdefault(event.step, []).append(event)
     for step in range(scenario.steps):
-        changed: list[str] = []
+        changed: dict[str, list[float]] = {}
         for event in events_by_step.get(step, ()):
+            values = changed.setdefault(event.agent, list(vectors[event.agent].values))
             idx = scenario.schema.index_of(event.feature)
             if event.value is not None:
-                values[event.agent][idx] = event.value
+                values[idx] = event.value
             else:
-                values[event.agent][idx] = values[event.agent][idx] + (event.delta or 0.0)
-            changed.append(event.agent)
-        for agent_id in dict.fromkeys(changed):  # dedupe, keep order
+                values[idx] = values[idx] + (event.delta or 0.0)
+        for agent_id, values in changed.items():
             try:
-                new_vec = FeatureVector(tuple(values[agent_id]))
+                vectors[agent_id] = FeatureVector(tuple(values))
             except ValidationError as exc:
                 raise ValidationError(
                     f"drift drives agent {agent_id!r} non-finite at step {step}: {exc}"
                 ) from exc
-            lattice = lattice.update_quality(agent_id, new_vec)
+        if changed:
+            lattice = build(scenario.schema, tuple(vectors.items()))
         result.append(lattice)
     return result
 
@@ -267,42 +280,55 @@ def _binomial_halfwidth(p: float, n: int) -> float:
     return _Z95 * math.sqrt(p * (1.0 - p) / n) if n else 0.0
 
 
-def _run_trial(
-    scenario: Scenario,
-    trial: int,
-    lattices: Sequence[DominanceLattice],
-    agent_order: Sequence[str],
-) -> list[TraceRecord]:
+def compile_voters(
+    rule: Rule, lattice: DominanceLattice, topology: Topology, step: int
+) -> dict[str, tuple[str, ...]]:
+    """Each receiver's sorted voters under `rule` at `step`, in lattice order.
+
+    Voters never depend on beliefs, so they are read from apply_rule's
+    contributors over a placeholder profile.
+    """
+    placeholder = BeliefProfile(step, "", {a: Belief(a, "", False) for a in lattice.real_ids})
+    result = apply_rule(rule, lattice, placeholder, topology)
+    return {a: tuple(sorted(result.contributors[a])) for a in lattice.real_ids}
+
+
+def _compile(scenario: Scenario, lattices: Sequence[DominanceLattice]) -> list[tuple]:
+    """Per step: the lattice, its digest and each rule's (name, voters)."""
+    return [
+        (
+            lattice,
+            lattice.digest(),
+            [(r.name, compile_voters(r, lattice, scenario.topology, step)) for r in scenario.rules],
+        )
+        for step, lattice in enumerate(lattices)
+    ]
+
+
+def _run_trial(scenario: Scenario, trial: int, plans: Sequence[tuple]) -> list[TraceRecord]:
     records: list[TraceRecord] = []
-    for step in range(scenario.steps):
-        lattice = lattices[step]
-        digest = lattice.digest()
+    for step, (lattice, digest, rules) in enumerate(plans):
         raw: dict[str, dict[str, bool]] = {}
-        profiles: dict[str, BeliefProfile] = {}
         for prop in scenario.propositions:
             schedule = scenario.ground_truth[prop.id]
-            beliefs = {}
-            for agent_id in agent_order:
+            observed = raw[prop.id] = {}
+            for agent_id in lattice.real_ids:
                 stream = RandomStream(scenario.seed, trial, agent_id, step, prop.id)
-                beliefs[agent_id] = observe(
-                    agent_id, schedule, scenario.error_model, stream, step, lattice
-                )
-            profile = BeliefProfile(step, prop.id, beliefs)
-            profiles[prop.id] = profile
-            raw[prop.id] = {a: beliefs[a].value for a in agent_order}
-        for rule in scenario.rules:
+                belief = observe(agent_id, schedule, scenario.error_model, stream, step, lattice)
+                observed[agent_id] = belief.value
+        for rule_name, voters in rules:
             propagated: dict[str, dict[str, bool]] = {}
-            contributors: dict[str, dict[str, tuple[str, ...]]] = {}
             ties: dict[str, dict[str, bool]] = {}
-            for prop in scenario.propositions:
-                result = apply_rule(rule, lattice, profiles[prop.id], scenario.topology)
-                propagated[prop.id] = {a: result.propagated[a] for a in agent_order}
-                contributors[prop.id] = {
-                    a: tuple(sorted(result.contributors[a])) for a in agent_order
-                }
-                ties[prop.id] = {a: result.tie_broken[a] for a in agent_order}
+            for prop_id, values in raw.items():
+                prop_out = propagated[prop_id] = {}
+                prop_ties = ties[prop_id] = {}
+                for receiver, receiver_voters in voters.items():
+                    prop_out[receiver], prop_ties[receiver] = _vote(
+                        receiver_voters, values.__getitem__, values[receiver]
+                    )
+            contributors = dict.fromkeys(raw, voters)
             records.append(
-                TraceRecord(trial, step, rule.name, digest, raw, propagated, contributors, ties)
+                TraceRecord(trial, step, rule_name, digest, raw, propagated, contributors, ties)
             )
     return records
 
@@ -314,22 +340,17 @@ def run(scenario: Scenario, jobs: int = 1) -> tuple[Trace, Metrics]:
     results are merged in trial order, so output is identical for any
     worker count.
     """
-    validate_scenario(scenario)
-    lattices = lattices_by_step(scenario)
-    agent_order = lattices[0].real_ids
+    if jobs < 1:
+        raise ValidationError(f"jobs must be >= 1, got {jobs}")
+    plans = _compile(scenario, validate_scenario(scenario))
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             per_trial = list(
-                pool.map(
-                    lambda t: _run_trial(scenario, t, lattices, agent_order),
-                    range(scenario.trials),
-                )
+                pool.map(lambda t: _run_trial(scenario, t, plans), range(scenario.trials))
             )
     else:
-        per_trial = [
-            _run_trial(scenario, t, lattices, agent_order) for t in range(scenario.trials)
-        ]
+        per_trial = [_run_trial(scenario, t, plans) for t in range(scenario.trials)]
     records = tuple(record for trial_records in per_trial for record in trial_records)
     trace = Trace(records)
     return trace, compute_metrics(trace, scenario)
@@ -373,6 +394,12 @@ def compute_metrics(trace: Trace, scenario: Scenario) -> Metrics:
 
     for record in trace.records:
         by_point.setdefault((record.trial, record.step), {})[record.rule] = record.propagated
+        unknown = (record.raw.keys() | record.propagated.keys()) - truth_at.keys()
+        if unknown:
+            raise ValidationError(
+                f"trace record (trial {record.trial}, step {record.step}, rule {record.rule!r}) "
+                f"names proposition {min(unknown)!r}, which the scenario lacks"
+            )
         for prop_id, prop_raw in record.raw.items():
             truth = truth_at[prop_id][record.step]
             for agent_id, value in prop_raw.items():

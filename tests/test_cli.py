@@ -1,6 +1,7 @@
 import json
 import math
 
+import pytest
 import yaml
 
 from beliefsim.cli import main
@@ -83,6 +84,32 @@ class TestRun:
         )
         assert code == 1
         assert "unknown rule" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seed", "-1"], "seed"),
+            (["--seed", str(2**64)], "seed"),
+            (["--jobs", "0"], "jobs"),
+            (["--jobs", "-3"], "jobs"),
+        ],
+    )
+    def test_out_of_range_override_exits_1(self, scenario_dir, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        code = main(
+            ["run", str(scenario_dir / "intersection.scn"), "--trials", "5", *flags,
+             "--out-dir", str(out)]
+        )
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_seed_override_accepted(self, scenario_dir, tmp_path):
+        code = main(
+            ["run", str(scenario_dir / "intersection.scn"), "--trials", "5",
+             "--seed", str(2**64 - 1), "--out-dir", str(tmp_path)]
+        )
+        assert code == 0
 
     def test_unwritable_out_dir_is_io_failure(self, scenario_dir, tmp_path, capsys):
         blocker = tmp_path / "blocker"

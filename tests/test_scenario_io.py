@@ -167,6 +167,11 @@ class TestRejections:
         doc["seed"] = 2**64
         self.check(doc, "seed")
 
+    def test_seed_must_be_non_negative(self, intersection_doc):
+        doc = copy.deepcopy(intersection_doc)
+        doc["seed"] = -1
+        self.check(doc, "seed")
+
     def test_truth_value_must_be_boolean(self, intersection_doc):
         doc = copy.deepcopy(intersection_doc)
         doc["ground_truth"]["pedestrian"] = "yes"

@@ -26,6 +26,7 @@ from beliefsim import (
     trace_from_jsonl,
     trace_to_jsonl,
 )
+from beliefsim import simulator
 from beliefsim.rules import MAJORITY, MOST_EXPERT
 
 from support import make_schema, random_population, simple_scenario
@@ -217,6 +218,27 @@ class TestDrift:
         with pytest.raises(ValidationError):
             run(scenario)
 
+    def test_one_rebuild_per_drifting_step(self, monkeypatch):
+        scenario = self.drift_scenario()  # two events on s1 at one step
+        builds = []
+        real_build = simulator.build
+        monkeypatch.setattr(
+            simulator, "build", lambda *args: builds.append(args) or real_build(*args)
+        )
+        lattices_by_step(scenario)
+        assert len(builds) == 2
+
+    def test_non_finite_drift_names_first_agent_and_step(self):
+        schema = make_schema((S,))
+        agents = (("a", FeatureVector((1.0,))), ("b", FeatureVector((2.0,))))
+        huge = float(10**308) * 10
+        drift = (DriftEvent("b", "f0", 1, delta=huge), DriftEvent("a", "f0", 1, delta=huge))
+        scenario = simple_scenario(
+            schema, agents, {"a": 0.0, "b": 0.0}, steps=2, trials=1, drift=drift
+        )
+        with pytest.raises(ValidationError, match="drift drives agent 'b' non-finite at step 1"):
+            run(scenario)
+
     def test_drift_event_needs_exactly_one_mode(self):
         with pytest.raises(ValidationError):
             DriftEvent("a", "f0", 0)
@@ -278,6 +300,13 @@ class TestMetrics:
         truncated = Trace(self._tiny_trace().records[:1])
         with pytest.raises(ValidationError):
             compute_metrics(truncated, scenario)
+
+    @pytest.mark.parametrize("field", ["raw", "propagated"])
+    def test_unknown_proposition_is_named(self, field):
+        records = list(self._tiny_trace().records)
+        records[1] = replace(records[1], **{field: {"ghost": getattr(records[1], field)["p"]}})
+        with pytest.raises(ValidationError, match="'ghost'"):
+            compute_metrics(Trace(tuple(records)), self._tiny_scenario())
 
     def test_metrics_recomputed_from_persisted_trace_match(self):
         scenario = build_intersection_scenario()
