@@ -2,7 +2,10 @@
 
 The digests were recorded before the simulator compiled voter sets per
 (step, rule); any change to how beliefs are drawn, voted on or serialised
-shows here as a changed digest.
+shows here as a changed digest. The mixed-inputs case covers what no
+shipped scenario does (two propositions, piecewise-constant truth, a graph
+topology, drift); its digests were recorded before the run loop rendered
+trace lines from compact rows.
 """
 
 import hashlib
@@ -76,3 +79,68 @@ def test_outputs_match_pinned_digests(case, scenario_dir, tmp_path, capsys):
 def test_jobs_two_matches_pinned_digests(scenario_dir, tmp_path, capsys):
     case = "intersection"
     assert _digests(scenario_dir, case, tmp_path, ("--jobs", "2")) == PINS[case][1]
+
+
+MIXED_SCENARIO = """\
+version: 1
+name: mixed-inputs
+schema:
+  - {name: distance, direction: smaller_is_better, unit: m}
+  - {name: resolution, direction: larger_is_better, unit: px}
+agents:
+  v1: [1.0, 9.0]
+  v2: [2.0, 7.0]
+  v3: [3.0, 8.0]
+  v4: [4.0, 4.0]
+  v5: [5.0, 6.0]
+  v6: [6.0, 2.0]
+propositions:
+  - {id: pedestrian, statement: a pedestrian is crossing}
+  - {id: cyclist, statement: a cyclist is in the lane}
+ground_truth:
+  pedestrian:
+    - {step: 0, value: true}
+    - {step: 2, value: false}
+    - {step: 3, value: true}
+  cyclist: false
+error_model:
+  kind: quality_mapped
+  p_min: 0.1
+  p_max: 0.4
+topology:
+  mode: graph
+  adjacency:
+    v1: [v2]
+    v2: [v1, v3, v4]
+    v3: [v1, v2, v5, v6]
+    v4: [v1, v2, v3, v5]
+    v5: [v4, v6]
+drift:
+  - {agent: v1, feature: distance, step: 1, delta: 4.5}
+  - {agent: v6, feature: resolution, step: 2, value: 9.5}
+  - {agent: v6, feature: distance, step: 2, value: 0.5}
+rules:
+  - most-expert
+  - majority
+  - subgroup:d=2,self
+steps: 4
+trials: 50
+seed: 3
+"""
+
+MIXED_PINS = {
+    "trace.jsonl": "f450533ec9ec38aa59e719f1321a9ddcb85085a428fdabaf1228030df13b43d0",
+    "metrics.json": "d080b93e0be88abac3d6f2d537df2641abf9a46c5966719b27c1934cc254a8a8",
+    "metrics.csv": "99a64345a247b0663c57f5b2964035d2c08f4bf3b1eae33dc462236a372d7f54",
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_mixed_inputs_match_pinned_digests(jobs, tmp_path, capsys):
+    scenario = tmp_path / "mixed.scn"
+    scenario.write_text(MIXED_SCENARIO, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["run", str(scenario), "--seed", SEED, "--trials", TRIALS, "--jobs", jobs]
+    assert main([*argv, "--out-dir", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in DATA_FILES}
+    assert digests == MIXED_PINS
