@@ -8,9 +8,27 @@ program; randomness enters only through observation streams keyed by
 the whole run is reproducible bit-for-bit, with any number of worker
 threads.
 
-Rules are compiled once per (step, rule): each receiver's voters depend
-only on the step's lattice, the topology and the receiver, so they are
-read once from :func:`apply_rule` and every trial votes over them.
+A run goes in four parts:
+
+- **Plan.** Before the first trial, each step is compiled once: the
+  agents in lattice order, each agent's error probability, the truth of
+  each proposition, each rule's voters as index tuples (read from
+  :func:`apply_rule`, since voters depend only on the step's lattice, the
+  topology and the receiver) and the trace text that no trial changes.
+  Validation builds the lattices; the CLI's second validation after its
+  flag overrides reuses them.
+- **Rows.** A trial draws every belief through :class:`RandomStream` and
+  votes every rule over the compiled voters with the shared ``_vote``.
+  It keeps only bools: per step, the raw beliefs per proposition and,
+  per rule, the propagated and tie-broken values.
+- **Tally.** :func:`run` counts metrics from the rows as trials finish.
+  :func:`compute_metrics` groups a trace's records into the same rows
+  and feeds the same tally, so there is one counting path; its counts
+  are integers, so both give byte-equal metrics.
+- **Lazy records.** The trace that :func:`run` returns keeps the rows.
+  Its ``records`` build a TraceRecord only when indexed or iterated, and
+  :func:`trace_to_jsonl` renders its lines straight from the rows, byte
+  for byte what ``TraceRecord.to_dict`` plus ``json.dumps`` give.
 
 Trace records are flat: one per (trial, step, rule), with per-proposition
 maps inside. Metrics are a pure function of the trace plus the scenario's
@@ -22,9 +40,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import partial
+from typing import NamedTuple
 
 from .beliefs import (
     Belief,
@@ -34,7 +56,7 @@ from .beliefs import (
     Proposition,
     RandomStream,
     Topology,
-    observe,
+    observe,  # not called here; bench/tracer.py looks up simulator.observe
 )
 from .errors import ValidationError
 from .features import Direction, Feature, FeatureSchema, FeatureVector
@@ -128,11 +150,26 @@ def validate_scenario(scenario: Scenario) -> list[DominanceLattice]:
             )
     # Builds every per-step lattice: catches duplicate ids, dimension
     # mismatches, error-model gaps, and non-finite drifted values now.
-    lattices = lattices_by_step(scenario)
+    lattices = _step_lattices(scenario)
     for lattice in lattices:
         for agent_id in lattice.real_ids:
             scenario.error_model.probability_for(agent_id, lattice)
     return lattices
+
+
+# The lattices of the last scenario validated, keyed on the only fields they
+# depend on. The CLI validates a file when it loads it and again after the
+# --seed/--trials/--rule overrides, which never touch these fields.
+_last_lattices: tuple[tuple, tuple[DominanceLattice, ...]] | None = None
+
+
+def _step_lattices(scenario: Scenario) -> list[DominanceLattice]:
+    global _last_lattices
+    key = (scenario.schema, scenario.agents, scenario.drift, scenario.steps)
+    memo = _last_lattices
+    if memo is None or memo[0] != key:
+        memo = _last_lattices = (key, tuple(lattices_by_step(scenario)))
+    return list(memo[1])
 
 
 def lattices_by_step(scenario: Scenario) -> list[DominanceLattice]:
@@ -215,19 +252,165 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class Trace:
-    records: tuple[TraceRecord, ...]
+    """A run's records in (trial, step, rule) order.
+
+    `records` is a read-only sequence: a tuple for a trace built from
+    records (for example by :func:`trace_from_jsonl`), or the lazy view
+    that :func:`run` returns, which builds a TraceRecord only when one is
+    indexed or iterated.
+    """
+
+    records: Sequence[TraceRecord]
+
+
+_JSON_BOOL = ("false", "true")
+
+
+def _template(keys: Sequence[str]) -> str:
+    """A '%'-template of a JSON object with these keys, one '%s' per value."""
+    return "{" + ",".join(json.dumps(k).replace("%", "%%") + ":%s" for k in keys) + "}"
+
+
+class _RulePlan(NamedTuple):
+    """One rule at one step: its voters and the trace text they fix."""
+
+    name: str
+    voters: tuple[tuple[int, ...], ...]  # per receiver, indices into the step's agents
+    contributors: Mapping[str, tuple[str, ...]]  # the same voters by id
+    head: str  # record text from ',"step":' up to the raw map
+    contributors_text: str  # ',"contributors":{...}'
+    # One proposition's raw row -> its (propagated, tie_broken) rows. Votes
+    # depend on nothing else, and small groups repeat rows across trials.
+    votes: dict[tuple[bool, ...], tuple[tuple[bool, ...], tuple[bool, ...]]]
+
+
+class _StepPlan(NamedTuple):
+    """What no trial changes at one step."""
+
+    digest: str
+    agents: tuple[str, ...]  # lattice order, which is id order
+    error_p: tuple[float, ...]  # per agent
+    truth: tuple[bool, ...]  # per proposition
+    rules: tuple[_RulePlan, ...]
+    agents_template: str
+
+
+class _Plan(NamedTuple):
+    """Everything a run's trials share: compiled once, before the first trial."""
+
+    seed: int
+    propositions: tuple[str, ...]
+    propositions_template: str
+    steps: tuple[_StepPlan, ...]
+
+
+# A trial's rows hold, per step, (raw, outcomes): raw has one bool per agent
+# per proposition, and outcomes one (propagated, tie_broken) pair per rule,
+# shaped like raw.
+_StepRow = tuple[tuple[tuple[bool, ...], ...], tuple[tuple[tuple, tuple], ...]]
+
+
+def _fill(plan: _Plan, step: _StepPlan, rows: Sequence[Sequence[bool]]) -> str:
+    """JSON text of {proposition: {agent: bool}} from one bool row per proposition."""
+    agents = step.agents_template
+    return plan.propositions_template % tuple(
+        agents % tuple(map(_JSON_BOOL.__getitem__, values)) for values in rows
+    )
+
+
+class _RunRecords(Sequence):
+    """The records of a run, kept as compact rows and built on demand."""
+
+    def __init__(self, plan: _Plan, rows: Sequence[Sequence[_StepRow]]) -> None:
+        self._plan = plan
+        self._rows = rows  # per trial
+        self._rules = len(plan.steps[0].rules)
+        self._per_trial = len(plan.steps) * self._rules
+
+    def __len__(self) -> int:
+        return len(self._rows) * self._per_trial
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        position = operator.index(index)
+        if position < 0:
+            position += len(self)
+        if not 0 <= position < len(self):
+            raise IndexError(f"trace record index {index} out of range")
+        trial, rest = divmod(position, self._per_trial)
+        step, rule = divmod(rest, self._rules)
+        raw, outcomes = self._rows[trial][step]
+        propagated, ties = outcomes[rule]
+        step_plan = self._plan.steps[step]
+        rule_plan = step_plan.rules[rule]
+        props = self._plan.propositions
+
+        def maps(rows):
+            return {p: dict(zip(step_plan.agents, values)) for p, values in zip(props, rows)}
+
+        return TraceRecord(
+            trial, step, rule_plan.name, step_plan.digest, maps(raw), maps(propagated),
+            dict.fromkeys(props, rule_plan.contributors), maps(ties),
+        )
+
+    def jsonl(self) -> str:
+        """The records as trace.jsonl text, rendered from the rows."""
+        plan = self._plan
+        texts: list[dict] = [{} for _ in plan.steps]  # per step: bool rows -> JSON text
+
+        def text(step: int, rows) -> str:
+            found = texts[step].get(rows)
+            if found is None:
+                found = texts[step][rows] = _fill(plan, plan.steps[step], rows)
+            return found
+
+        lines = []
+        for trial, row in enumerate(self._rows):
+            trial_text = '{"trial":' + str(trial)
+            for step, (raw, outcomes) in enumerate(row):
+                raw_text = text(step, raw)
+                for rule_plan, (propagated, ties) in zip(plan.steps[step].rules, outcomes):
+                    lines.append(
+                        f"{trial_text}{rule_plan.head}{raw_text}"
+                        f',"propagated":{text(step, propagated)}'
+                        f"{rule_plan.contributors_text}"
+                        f',"tie_broken":{text(step, ties)}}}\n'
+                    )
+        return "".join(lines)
 
 
 def trace_to_jsonl(trace: Trace) -> str:
+    """One compact JSON object per record, one record per line.
+
+    A trace from :func:`run` is rendered straight from its rows; any other
+    trace goes through TraceRecord.to_dict, the reference format.
+    """
+    if isinstance(trace.records, _RunRecords):
+        return trace.records.jsonl()
     lines = [json.dumps(r.to_dict(), separators=(",", ":")) for r in trace.records]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def trace_from_jsonl(text: str) -> Trace:
-    records = tuple(
-        TraceRecord.from_dict(json.loads(line)) for line in text.splitlines() if line.strip()
-    )
-    return Trace(records)
+    """Parse trace.jsonl text; a bad line raises ValidationError naming its 1-based number."""
+    records = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"trace line {number}: not valid JSON ({exc.msg})") from None
+        if not isinstance(data, dict):
+            raise ValidationError(f"trace line {number}: expected a JSON object")
+        try:
+            records.append(TraceRecord.from_dict(data))
+        except KeyError as exc:
+            raise ValidationError(f"trace line {number}: record lacks {exc.args[0]!r}") from None
+        except (AttributeError, TypeError) as exc:
+            raise ValidationError(f"trace line {number}: malformed record ({exc})") from None
+    return Trace(tuple(records))
 
 
 @dataclass(frozen=True)
@@ -280,6 +463,68 @@ def _binomial_halfwidth(p: float, n: int) -> float:
     return _Z95 * math.sqrt(p * (1.0 - p) / n) if n else 0.0
 
 
+def _tally(points: Counter, scenario: Scenario) -> Metrics:
+    """Metrics from a histogram of (step, raw, outcomes) points.
+
+    A point is one (trial, step): the raw beliefs, one bool row per
+    proposition with agents in id order, and per rule in scenario order
+    its (propagated, tie_broken) rows shaped alike. Equal points count
+    equally, so each distinct one is counted once and weighted. The counts
+    are integers and the divisions happen last, so the metrics do not
+    depend on the order points arrive in.
+    """
+    agents = sorted(agent_id for agent_id, _ in scenario.agents)
+    names = [rule.name for rule in scenario.rules]
+    pairs = [(i, j) for i in range(len(names)) for j in range(i + 1, len(names))]
+    truth_at = [
+        tuple(scenario.ground_truth[p.id].value_at(step) for p in scenario.propositions)
+        for step in range(scenario.steps)
+    ]
+    agent_correct = [0] * len(agents)
+    correct = [0] * len(names)
+    ties = [0] * len(names)
+    outcomes_n = [0] * len(names)
+    pair_diff = [0] * len(pairs)
+    pair_total = [0] * len(pairs)
+    for (step, raw, outcomes), weight in points.items():
+        truth = truth_at[step]
+        for values, value in zip(raw, truth):
+            for i, belief in enumerate(values):
+                if belief == value:
+                    agent_correct[i] += weight
+        for r, (propagated, tie_broken) in enumerate(outcomes):
+            for values, value in zip(propagated, truth):
+                correct[r] += weight * values.count(value)
+                outcomes_n[r] += weight * len(values)
+            for values in tie_broken:
+                ties[r] += weight * values.count(True)
+        for k, (i, j) in enumerate(pairs):
+            for left, right in zip(outcomes[i][0], outcomes[j][0]):
+                pair_diff[k] += weight * sum(map(operator.ne, left, right))
+                pair_total[k] += weight * len(left)
+
+    rule_metrics = {}
+    for r, name in enumerate(names):
+        n = outcomes_n[r]
+        acc = correct[r] / n
+        hw = _binomial_halfwidth(acc, n)
+        rule_metrics[name] = RuleMetrics(
+            rule=name,
+            accuracy=acc,
+            ci_low=max(0.0, acc - hw),
+            ci_high=min(1.0, acc + hw),
+            tie_rate=ties[r] / n,
+            outcomes=n,
+        )
+    agent_total = points.total() * len(scenario.propositions)
+    agent_accuracy = {a: c / agent_total for a, c in zip(agents, agent_correct)}
+    contradiction_rates = {
+        f"{names[i]}|{names[j]}": diff / total
+        for (i, j), diff, total in zip(pairs, pair_diff, pair_total)
+    }
+    return Metrics(rule_metrics, agent_accuracy, contradiction_rates, scenario.trials, scenario.steps)
+
+
 def compile_voters(
     rule: Rule, lattice: DominanceLattice, topology: Topology, step: int
 ) -> dict[str, tuple[str, ...]]:
@@ -293,44 +538,67 @@ def compile_voters(
     return {a: tuple(sorted(result.contributors[a])) for a in lattice.real_ids}
 
 
-def _compile(scenario: Scenario, lattices: Sequence[DominanceLattice]) -> list[tuple]:
-    """Per step: the lattice, its digest and each rule's (name, voters)."""
-    return [
-        (
-            lattice,
-            lattice.digest(),
-            [(r.name, compile_voters(r, lattice, scenario.topology, step)) for r in scenario.rules],
-        )
-        for step, lattice in enumerate(lattices)
-    ]
-
-
-def _run_trial(scenario: Scenario, trial: int, plans: Sequence[tuple]) -> list[TraceRecord]:
-    records: list[TraceRecord] = []
-    for step, (lattice, digest, rules) in enumerate(plans):
-        raw: dict[str, dict[str, bool]] = {}
-        for prop in scenario.propositions:
-            schedule = scenario.ground_truth[prop.id]
-            observed = raw[prop.id] = {}
-            for agent_id in lattice.real_ids:
-                stream = RandomStream(scenario.seed, trial, agent_id, step, prop.id)
-                belief = observe(agent_id, schedule, scenario.error_model, stream, step, lattice)
-                observed[agent_id] = belief.value
-        for rule_name, voters in rules:
-            propagated: dict[str, dict[str, bool]] = {}
-            ties: dict[str, dict[str, bool]] = {}
-            for prop_id, values in raw.items():
-                prop_out = propagated[prop_id] = {}
-                prop_ties = ties[prop_id] = {}
-                for receiver, receiver_voters in voters.items():
-                    prop_out[receiver], prop_ties[receiver] = _vote(
-                        receiver_voters, values.__getitem__, values[receiver]
-                    )
-            contributors = dict.fromkeys(raw, voters)
-            records.append(
-                TraceRecord(trial, step, rule_name, digest, raw, propagated, contributors, ties)
+def _compile(scenario: Scenario, lattices: Sequence[DominanceLattice]) -> _Plan:
+    """The per-step plan: agents, error probabilities, truth, voters, fixed trace text."""
+    props = tuple(p.id for p in scenario.propositions)
+    steps = []
+    for step, lattice in enumerate(lattices):
+        agents = lattice.real_ids
+        index = {agent_id: i for i, agent_id in enumerate(agents)}
+        digest = lattice.digest()
+        rules = []
+        for rule in scenario.rules:
+            voters = compile_voters(rule, lattice, scenario.topology, step)
+            rules.append(
+                _RulePlan(
+                    rule.name,
+                    tuple(tuple(index[v] for v in voters[a]) for a in agents),
+                    voters,
+                    f',"step":{step},"rule":{json.dumps(rule.name)},'
+                    f'"lattice_digest":{json.dumps(digest)},"raw":',
+                    ',"contributors":'
+                    + json.dumps(dict.fromkeys(props, voters), separators=(",", ":")),
+                    {},
+                )
             )
-    return records
+        steps.append(
+            _StepPlan(
+                digest,
+                agents,
+                tuple(scenario.error_model.probability_for(a, lattice) for a in agents),
+                tuple(scenario.ground_truth[p].value_at(step) for p in props),
+                tuple(rules),
+                _template(agents),
+            )
+        )
+    return _Plan(scenario.seed, props, _template(props), tuple(steps))
+
+
+def _propagate(rule: _RulePlan, raw) -> tuple[tuple, tuple]:
+    """One rule's (propagated, tie_broken) rows over a step's raw rows."""
+    outcomes = []
+    for values in raw:
+        outcome = rule.votes.get(values)
+        if outcome is None:
+            votes = [_vote(v, values.__getitem__, values[r]) for r, v in enumerate(rule.voters)]
+            outcome = rule.votes[values] = tuple(zip(*votes))
+        outcomes.append(outcome)
+    return tuple(o[0] for o in outcomes), tuple(o[1] for o in outcomes)
+
+
+def _run_trial(plan: _Plan, trial: int) -> tuple[_StepRow, ...]:
+    """Draw every belief of one trial and vote every rule over them."""
+    rows = []
+    for step, step_plan in enumerate(plan.steps):
+        raw = tuple(
+            tuple(
+                truth != (RandomStream(plan.seed, trial, agent, step, prop).uniform() < p)
+                for agent, p in zip(step_plan.agents, step_plan.error_p)
+            )
+            for prop, truth in zip(plan.propositions, step_plan.truth)
+        )
+        rows.append((raw, tuple(_propagate(rule, raw) for rule in step_plan.rules)))
+    return tuple(rows)
 
 
 def run(scenario: Scenario, jobs: int = 1) -> tuple[Trace, Metrics]:
@@ -338,29 +606,50 @@ def run(scenario: Scenario, jobs: int = 1) -> tuple[Trace, Metrics]:
 
     Trials are independent; with jobs > 1 they run on a thread pool and
     results are merged in trial order, so output is identical for any
-    worker count.
+    worker count. Metrics come from the same tally of the trials' rows
+    that :func:`compute_metrics` feeds from a trace's records.
     """
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
-    plans = _compile(scenario, validate_scenario(scenario))
+    plan = _compile(scenario, validate_scenario(scenario))
+    points: Counter = Counter()
 
+    def collect(per_trial: Iterable[tuple[_StepRow, ...]]) -> list[tuple[_StepRow, ...]]:
+        rows = []
+        for row in per_trial:
+            for step, (raw, outcomes) in enumerate(row):
+                points[step, raw, outcomes] += 1
+            rows.append(row)
+        return rows
+
+    trial_rows = partial(_run_trial, plan)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_trial = list(
-                pool.map(lambda t: _run_trial(scenario, t, plans), range(scenario.trials))
-            )
+            rows = collect(pool.map(trial_rows, range(scenario.trials)))
     else:
-        per_trial = [_run_trial(scenario, t, plans) for t in range(scenario.trials)]
-    records = tuple(record for trial_records in per_trial for record in trial_records)
-    trace = Trace(records)
-    return trace, compute_metrics(trace, scenario)
+        rows = collect(map(trial_rows, range(scenario.trials)))
+    return Trace(_RunRecords(plan, rows)), _tally(points, scenario)
+
+
+def _bool_rows(record: TraceRecord, field: str, props: Sequence[str], agents: Sequence[str]):
+    """A record's `field` maps as one bool row per proposition, in `agents` order."""
+    maps = getattr(record, field)
+    where = f"trace record (trial {record.trial}, step {record.step}, rule {record.rule!r})"
+    try:
+        rows = tuple(tuple(maps[p][a] for a in agents) for p in props)
+    except KeyError as exc:
+        raise ValidationError(f"{where} has no {field} value for {exc.args[0]!r}") from None
+    if any(len(maps[p]) != len(agents) for p in props):
+        raise ValidationError(f"{where} has {field} values for agents the scenario lacks")
+    return rows
 
 
 def compute_metrics(trace: Trace, scenario: Scenario) -> Metrics:
     """Aggregate reliability statistics from a complete trace.
 
     Pure function of (trace, scenario): re-running it on a persisted trace
-    reproduces the original metrics exactly.
+    reproduces the original metrics exactly. Records are grouped by
+    (trial, step) and counted by the same tally that :func:`run` feeds.
     """
     rule_names = [rule.name for rule in scenario.rules]
     expected = {
@@ -377,75 +666,33 @@ def compute_metrics(trace: Trace, scenario: Scenario) -> Metrics:
             f"got {len(trace.records)}"
         )
 
-    truth_at = {
-        prop.id: [scenario.ground_truth[prop.id].value_at(s) for s in range(scenario.steps)]
-        for prop in scenario.propositions
-    }
-
-    correct: dict[str, int] = {name: 0 for name in rule_names}
-    ties: dict[str, int] = {name: 0 for name in rule_names}
-    outcomes: dict[str, int] = {name: 0 for name in rule_names}
-    agent_correct: dict[str, int] = {}
-    agent_total: dict[str, int] = {}
-    pair_diff: dict[tuple[str, str], int] = {}
-    pair_total: dict[tuple[str, str], int] = {}
-    # propagated values per (trial, step, prop) across rules, for pair rates
-    by_point: dict[tuple[int, int], dict[str, Mapping[str, Mapping[str, bool]]]] = {}
-
+    props = [prop.id for prop in scenario.propositions]
+    known = set(props)
+    rule_index = {name: i for i, name in enumerate(rule_names)}
+    by_point: dict[tuple[int, int], list[TraceRecord]] = {}
     for record in trace.records:
-        by_point.setdefault((record.trial, record.step), {})[record.rule] = record.propagated
-        unknown = (record.raw.keys() | record.propagated.keys()) - truth_at.keys()
+        unknown = (record.raw.keys() | record.propagated.keys()) - known
         if unknown:
             raise ValidationError(
                 f"trace record (trial {record.trial}, step {record.step}, rule {record.rule!r}) "
                 f"names proposition {min(unknown)!r}, which the scenario lacks"
             )
-        for prop_id, prop_raw in record.raw.items():
-            truth = truth_at[prop_id][record.step]
-            for agent_id, value in prop_raw.items():
-                if record.rule == rule_names[0]:  # raw beliefs repeat per rule; count once
-                    agent_total[agent_id] = agent_total.get(agent_id, 0) + 1
-                    if value == truth:
-                        agent_correct[agent_id] = agent_correct.get(agent_id, 0) + 1
-        for prop_id, prop_out in record.propagated.items():
-            truth = truth_at[prop_id][record.step]
-            for agent_id, value in prop_out.items():
-                outcomes[record.rule] += 1
-                if value == truth:
-                    correct[record.rule] += 1
-                if record.tie_broken[prop_id][agent_id]:
-                    ties[record.rule] += 1
+        point = by_point.setdefault((record.trial, record.step), [None] * len(rule_names))
+        point[rule_index[record.rule]] = record
 
-    for point_results in by_point.values():
-        for i, left in enumerate(rule_names):
-            for right in rule_names[i + 1 :]:
-                for prop_id in point_results[left]:
-                    for agent_id, left_value in point_results[left][prop_id].items():
-                        key = (left, right)
-                        pair_total[key] = pair_total.get(key, 0) + 1
-                        if left_value != point_results[right][prop_id][agent_id]:
-                            pair_diff[key] = pair_diff.get(key, 0) + 1
-
-    rule_metrics = {}
-    for name in rule_names:
-        n = outcomes[name]
-        acc = correct[name] / n
-        hw = _binomial_halfwidth(acc, n)
-        rule_metrics[name] = RuleMetrics(
-            rule=name,
-            accuracy=acc,
-            ci_low=max(0.0, acc - hw),
-            ci_high=min(1.0, acc + hw),
-            tie_rate=ties[name] / n,
-            outcomes=n,
+    agents = sorted(agent_id for agent_id, _ in scenario.agents)
+    points: Counter = Counter()
+    for (_, step), records in by_point.items():
+        outcomes = tuple(
+            (
+                _bool_rows(record, "propagated", props, agents),
+                _bool_rows(record, "tie_broken", props, agents),
+            )
+            for record in records
         )
-    agent_accuracy = {a: agent_correct.get(a, 0) / agent_total[a] for a in agent_total}
-    contradiction_rates = {
-        f"{left}|{right}": pair_diff.get((left, right), 0) / pair_total[(left, right)]
-        for i, left in enumerate(rule_names)
-        for right in rule_names[i + 1 :]
-    }
-    return Metrics(rule_metrics, agent_accuracy, contradiction_rates, scenario.trials, scenario.steps)
+        # raw beliefs repeat per rule; count them once, from the first rule
+        points[step, _bool_rows(records[0], "raw", props, agents), outcomes] += 1
+    return _tally(points, scenario)
 
 
 def build_intersection_scenario() -> Scenario:

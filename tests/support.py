@@ -8,6 +8,7 @@ oracles for the lattice implementation.
 
 from __future__ import annotations
 
+import math
 import random
 
 from beliefsim import (
@@ -20,12 +21,14 @@ from beliefsim import (
     FeatureSchema,
     FeatureVector,
     GroundTruthSchedule,
+    Metrics,
     Proposition,
     Scenario,
     Topology,
     compare,
 )
 from beliefsim.rules import MAJORITY, MOST_EXPERT
+from beliefsim.simulator import RuleMetrics
 
 
 def make_schema(directions, unit=""):
@@ -115,4 +118,60 @@ def simple_scenario(
         seed=seed,
         drift=tuple(drift),
         name=name,
+    )
+
+
+def loop_metrics(trace, scenario) -> Metrics:
+    """Metrics of a complete, well-formed trace by direct per-record loops.
+
+    The record-by-record counting that compute_metrics did before it shared
+    run()'s tally; kept as an independent reference for both.
+    """
+    names = [rule.name for rule in scenario.rules]
+    truth_at = {
+        p.id: [scenario.ground_truth[p.id].value_at(s) for s in range(scenario.steps)]
+        for p in scenario.propositions
+    }
+    correct = dict.fromkeys(names, 0)
+    ties = dict.fromkeys(names, 0)
+    outcomes = dict.fromkeys(names, 0)
+    agent_correct, agent_total = {}, {}
+    by_point = {}
+    for record in trace.records:
+        by_point.setdefault((record.trial, record.step), {})[record.rule] = record.propagated
+        if record.rule == names[0]:
+            for prop_id, values in record.raw.items():
+                for agent_id, value in values.items():
+                    agent_total[agent_id] = agent_total.get(agent_id, 0) + 1
+                    truth = truth_at[prop_id][record.step]
+                    agent_correct[agent_id] = agent_correct.get(agent_id, 0) + (value == truth)
+        for prop_id, values in record.propagated.items():
+            for agent_id, value in values.items():
+                outcomes[record.rule] += 1
+                correct[record.rule] += value == truth_at[prop_id][record.step]
+                ties[record.rule] += bool(record.tie_broken[prop_id][agent_id])
+    pair_diff, pair_total = {}, {}
+    for results in by_point.values():
+        for i, left in enumerate(names):
+            for right in names[i + 1 :]:
+                key = f"{left}|{right}"
+                for prop_id, values in results[left].items():
+                    for agent_id, value in values.items():
+                        pair_total[key] = pair_total.get(key, 0) + 1
+                        diff = value != results[right][prop_id][agent_id]
+                        pair_diff[key] = pair_diff.get(key, 0) + diff
+    rules = {}
+    for name in names:
+        n = outcomes[name]
+        acc = correct[name] / n
+        half = 1.96 * math.sqrt(acc * (1.0 - acc) / n)
+        rules[name] = RuleMetrics(
+            name, acc, max(0.0, acc - half), min(1.0, acc + half), ties[name] / n, n
+        )
+    return Metrics(
+        rules,
+        {a: agent_correct[a] / agent_total[a] for a in agent_total},
+        {key: pair_diff[key] / pair_total[key] for key in pair_total},
+        scenario.trials,
+        scenario.steps,
     )

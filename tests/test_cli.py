@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+from beliefsim import load_scenario, simulator
 from beliefsim.cli import main
 
 
@@ -111,6 +116,27 @@ class TestRun:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "drifting_expert.scn", "--seed", "5", "--trials", "3"],
+            ["oracle", "three_agent_expert.scn", "--rule", "majority"],
+        ],
+    )
+    def test_one_build_per_distinct_lattice(self, scenario_dir, tmp_path, monkeypatch, capsys, argv):
+        command, name, *flags = argv
+        path = str(scenario_dir / name)
+        distinct = {lattice.digest() for lattice in simulator.lattices_by_step(load_scenario(path))}
+        monkeypatch.setattr(simulator, "_last_lattices", None)
+        builds = []
+        real_build = simulator.build
+        monkeypatch.setattr(
+            simulator, "build", lambda *args: builds.append(args) or real_build(*args)
+        )
+        out = ["--out-dir", str(tmp_path)] if command == "run" else []
+        assert main([command, path, *flags, *out]) == 0
+        assert len(builds) == len(distinct)
+
     def test_unwritable_out_dir_is_io_failure(self, scenario_dir, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory")
@@ -189,3 +215,14 @@ class TestOracle:
         for name, target in exact.items():
             sigma = math.sqrt(target * (1 - target) / trials)
             assert abs(metrics["rules"][name]["accuracy"] - target) <= 3 * sigma
+
+
+def test_python_dash_m_runs_the_cli(scenario_dir):
+    package_parent = str(Path(simulator.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_parent, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "beliefsim", "validate", str(scenario_dir / "intersection.scn")],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("OK: smart-intersection")

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from beliefsim import (
+    ConfigurationError,
     Direction,
     DriftEvent,
     ErrorModel,
@@ -25,6 +26,7 @@ from beliefsim import (
     run,
     trace_from_jsonl,
     trace_to_jsonl,
+    validate_scenario,
 )
 from beliefsim import simulator
 from beliefsim.rules import MAJORITY, MOST_EXPERT
@@ -228,6 +230,19 @@ class TestDrift:
         lattices_by_step(scenario)
         assert len(builds) == 2
 
+    def test_validation_reuses_lattices_only_for_equal_inputs(self):
+        early, late = self.drift_scenario(k=2), self.drift_scenario(k=3)
+        assert validate_scenario(early) == lattices_by_step(early)
+        assert validate_scenario(late) == lattices_by_step(late)
+        overridden = replace(late, seed=9, trials=7, rules=(MAJORITY,))
+        assert validate_scenario(overridden) == lattices_by_step(late)
+
+    def test_reused_lattices_still_check_the_error_model(self):
+        scenario = self.drift_scenario()
+        validate_scenario(scenario)
+        with pytest.raises(ConfigurationError, match="'s2'"):
+            validate_scenario(replace(scenario, error_model=ErrorModel.fixed({"s1": 0.0})))
+
     def test_non_finite_drift_names_first_agent_and_step(self):
         schema = make_schema((S,))
         agents = (("a", FeatureVector((1.0,))), ("b", FeatureVector((2.0,))))
@@ -306,6 +321,18 @@ class TestMetrics:
         records = list(self._tiny_trace().records)
         records[1] = replace(records[1], **{field: {"ghost": getattr(records[1], field)["p"]}})
         with pytest.raises(ValidationError, match="'ghost'"):
+            compute_metrics(Trace(tuple(records)), self._tiny_scenario())
+
+    def test_record_with_missing_agent_is_named(self):
+        records = list(self._tiny_trace().records)
+        records[0] = replace(records[0], tie_broken={"p": {"a": False, "b": False}})
+        with pytest.raises(ValidationError, match="no tie_broken value for 'c'"):
+            compute_metrics(Trace(tuple(records)), self._tiny_scenario())
+
+    def test_record_with_foreign_agent_is_rejected(self):
+        records = list(self._tiny_trace().records)
+        records[0] = replace(records[0], raw={"p": {**records[0].raw["p"], "z": True}})
+        with pytest.raises(ValidationError, match="agents the scenario lacks"):
             compute_metrics(Trace(tuple(records)), self._tiny_scenario())
 
     def test_metrics_recomputed_from_persisted_trace_match(self):
@@ -398,3 +425,27 @@ class TestTraceSerialization:
                 "contributors",
                 "tie_broken",
             ]
+
+    def _two_trial_text(self):
+        return trace_to_jsonl(run(replace(build_intersection_scenario(), trials=2))[0])
+
+    def test_truncated_line_is_named(self):
+        text = self._two_trial_text()
+        third = text.splitlines()[2]
+        cut = text[: text.index(third) + len(third) // 2]  # line 3 cut mid-record
+        with pytest.raises(ValidationError, match="trace line 3: not valid JSON"):
+            trace_from_jsonl(cut)
+
+    def test_record_without_raw_is_named(self):
+        lines = self._two_trial_text().splitlines()
+        record = json.loads(lines[1])
+        del record["raw"]
+        lines[1] = json.dumps(record)
+        with pytest.raises(ValidationError, match="trace line 2: record lacks 'raw'"):
+            trace_from_jsonl("\n".join(lines))
+
+    def test_non_object_line_is_named(self):
+        lines = self._two_trial_text().splitlines()
+        lines[4] = "[1, 2]"
+        with pytest.raises(ValidationError, match="trace line 5: expected a JSON object"):
+            trace_from_jsonl("\n".join(lines))
