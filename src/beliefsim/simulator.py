@@ -158,18 +158,23 @@ def validate_scenario(scenario: Scenario) -> list[DominanceLattice]:
 
 
 # The lattices of the last scenario validated, keyed on the only fields they
-# depend on. The CLI validates a file when it loads it and again after the
-# --seed/--trials/--rule overrides, which never touch these fields.
+# depend on and kept for the next validation only. The CLI validates a file
+# when it loads it and again after the --seed/--trials/--rule overrides,
+# which never touch these fields; the second validation takes the lattices,
+# so the memo holds none while trials run. Equal fields build equal,
+# immutable lattices, so the memo changes only how often build() runs.
 _last_lattices: tuple[tuple, tuple[DominanceLattice, ...]] | None = None
 
 
 def _step_lattices(scenario: Scenario) -> list[DominanceLattice]:
     global _last_lattices
     key = (scenario.schema, scenario.agents, scenario.drift, scenario.steps)
-    memo = _last_lattices
-    if memo is None or memo[0] != key:
-        memo = _last_lattices = (key, tuple(lattices_by_step(scenario)))
-    return list(memo[1])
+    memo, _last_lattices = _last_lattices, None
+    if memo is not None and memo[0] == key:
+        return list(memo[1])
+    lattices = lattices_by_step(scenario)
+    _last_lattices = (key, tuple(lattices))
+    return lattices
 
 
 def lattices_by_step(scenario: Scenario) -> list[DominanceLattice]:
@@ -310,14 +315,6 @@ class _Plan(NamedTuple):
 _StepRow = tuple[tuple[tuple[bool, ...], ...], tuple[tuple[tuple, tuple], ...]]
 
 
-def _fill(plan: _Plan, step: _StepPlan, rows: Sequence[Sequence[bool]]) -> str:
-    """JSON text of {proposition: {agent: bool}} from one bool row per proposition."""
-    agents = step.agents_template
-    return plan.propositions_template % tuple(
-        agents % tuple(map(_JSON_BOOL.__getitem__, values)) for values in rows
-    )
-
-
 class _RunRecords(Sequence):
     """The records of a run, kept as compact rows and built on demand."""
 
@@ -360,9 +357,13 @@ class _RunRecords(Sequence):
         texts: list[dict] = [{} for _ in plan.steps]  # per step: bool rows -> JSON text
 
         def text(step: int, rows) -> str:
+            """{proposition: {agent: bool}} as JSON, from one bool row per proposition."""
             found = texts[step].get(rows)
             if found is None:
-                found = texts[step][rows] = _fill(plan, plan.steps[step], rows)
+                agents = plan.steps[step].agents_template
+                found = texts[step][rows] = plan.propositions_template % tuple(
+                    agents % tuple(map(_JSON_BOOL.__getitem__, values)) for values in rows
+                )
             return found
 
         lines = []
@@ -541,6 +542,9 @@ def compile_voters(
 def _compile(scenario: Scenario, lattices: Sequence[DominanceLattice]) -> _Plan:
     """The per-step plan: agents, error probabilities, truth, voters, fixed trace text."""
     props = tuple(p.id for p in scenario.propositions)
+    # Receivers often share a voter set (under full broadcast, every receiver
+    # of majority or most-expert does), so each distinct tuple is kept once.
+    shared: dict[tuple, tuple] = {}
     steps = []
     for step, lattice in enumerate(lattices):
         agents = lattice.real_ids
@@ -548,11 +552,15 @@ def _compile(scenario: Scenario, lattices: Sequence[DominanceLattice]) -> _Plan:
         digest = lattice.digest()
         rules = []
         for rule in scenario.rules:
-            voters = compile_voters(rule, lattice, scenario.topology, step)
+            voters = {
+                a: shared.setdefault(v, v)
+                for a, v in compile_voters(rule, lattice, scenario.topology, step).items()
+            }
+            indices = (tuple(index[v] for v in voters[a]) for a in agents)
             rules.append(
                 _RulePlan(
                     rule.name,
-                    tuple(tuple(index[v] for v in voters[a]) for a in agents),
+                    tuple(shared.setdefault(i, i) for i in indices),
                     voters,
                     f',"step":{step},"rule":{json.dumps(rule.name)},'
                     f'"lattice_digest":{json.dumps(digest)},"raw":',

@@ -123,7 +123,9 @@ class TestRun:
             ["oracle", "three_agent_expert.scn", "--rule", "majority"],
         ],
     )
-    def test_one_build_per_distinct_lattice(self, scenario_dir, tmp_path, monkeypatch, capsys, argv):
+    def test_one_build_per_distinct_lattice(
+        self, scenario_dir, tmp_path, monkeypatch, capsys, argv
+    ):
         command, name, *flags = argv
         path = str(scenario_dir / name)
         distinct = {lattice.digest() for lattice in simulator.lattices_by_step(load_scenario(path))}

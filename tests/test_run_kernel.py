@@ -11,6 +11,8 @@ drift, graph topologies and every rule kind.
 
 import json
 import random
+import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,7 @@ from beliefsim import (
     RuleKind,
     Scenario,
     Topology,
+    build_intersection_scenario,
     compute_metrics,
     run,
     trace_from_jsonl,
@@ -118,3 +121,18 @@ def test_rows_render_tally_and_index_like_records(jobs, scenario):
         lazy[expected]
     with pytest.raises(IndexError):
         lazy[-expected - 1]
+
+
+def test_threads_sharing_vote_memos_match_one_thread():
+    # Worker threads share each rule's vote memo; switching threads as often
+    # as possible must still give the single-thread bytes.
+    scenario = replace(build_intersection_scenario(), trials=300)
+    expected_trace, expected_metrics = run(scenario)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        trace, metrics = run(scenario, jobs=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert trace_to_jsonl(trace) == trace_to_jsonl(expected_trace)
+    assert metrics == expected_metrics

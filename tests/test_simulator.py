@@ -444,8 +444,15 @@ class TestTraceSerialization:
         with pytest.raises(ValidationError, match="trace line 2: record lacks 'raw'"):
             trace_from_jsonl("\n".join(lines))
 
-    def test_non_object_line_is_named(self):
+    @pytest.mark.parametrize(
+        "replace_record, message",
+        [
+            (lambda record: [1, 2], "expected a JSON object"),
+            (lambda record: {**record, "contributors": 5}, "malformed record"),
+        ],
+    )
+    def test_malformed_record_is_named(self, replace_record, message):
         lines = self._two_trial_text().splitlines()
-        lines[4] = "[1, 2]"
-        with pytest.raises(ValidationError, match="trace line 5: expected a JSON object"):
+        lines[4] = json.dumps(replace_record(json.loads(lines[4])))
+        with pytest.raises(ValidationError, match=f"trace line 5: {message}"):
             trace_from_jsonl("\n".join(lines))
