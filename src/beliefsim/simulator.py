@@ -543,12 +543,14 @@ def _compile(scenario: Scenario, lattices: Sequence[DominanceLattice]) -> _Plan:
     """The per-step plan: agents, error probabilities, truth, voters, fixed trace text."""
     props = tuple(p.id for p in scenario.propositions)
     # Receivers often share a voter set (under full broadcast, every receiver
-    # of majority or most-expert does), so each distinct tuple is kept once.
-    shared: dict[tuple, tuple] = {}
+    # of majority or most-expert does), so each distinct one is kept and
+    # converted to indices once.
+    shared: dict[tuple[str, ...], tuple[str, ...]] = {}
     steps = []
     for step, lattice in enumerate(lattices):
         agents = lattice.real_ids
         index = {agent_id: i for i, agent_id in enumerate(agents)}
+        as_indices: dict[tuple[str, ...], tuple[int, ...]] = {}
         digest = lattice.digest()
         rules = []
         for rule in scenario.rules:
@@ -556,11 +558,13 @@ def _compile(scenario: Scenario, lattices: Sequence[DominanceLattice]) -> _Plan:
                 a: shared.setdefault(v, v)
                 for a, v in compile_voters(rule, lattice, scenario.topology, step).items()
             }
-            indices = (tuple(index[v] for v in voters[a]) for a in agents)
+            for v in voters.values():
+                if v not in as_indices:
+                    as_indices[v] = tuple(index[voter] for voter in v)
             rules.append(
                 _RulePlan(
                     rule.name,
-                    tuple(shared.setdefault(i, i) for i in indices),
+                    tuple(as_indices[voters[a]] for a in agents),
                     voters,
                     f',"step":{step},"rule":{json.dumps(rule.name)},'
                     f'"lattice_digest":{json.dumps(digest)},"raw":',
