@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
+
 from beliefsim import (
     Belief,
     BeliefProfile,
@@ -28,7 +30,7 @@ from beliefsim import (
     compare,
 )
 from beliefsim.rules import MAJORITY, MOST_EXPERT
-from beliefsim.simulator import RuleMetrics
+from beliefsim.simulator import RuleMetrics, compile_voters, validate_scenario
 
 
 def make_schema(directions, unit=""):
@@ -175,3 +177,84 @@ def loop_metrics(trace, scenario) -> Metrics:
         scenario.trials,
         scenario.steps,
     )
+
+
+def matrix_rule_accuracy(scenario: Scenario) -> dict[str, float]:
+    """Exact rule accuracy by the boolean-matrix enumeration.
+
+    The kernel exact_rule_accuracy used before it voted by popcount over
+    bit-mask outcomes; kept as an independent reference for it. Only for
+    scenarios inside the oracle's domain (no domain checks here).
+    """
+    lattice = validate_scenario(scenario)[0]
+    agents = lattice.real_ids
+    n = len(agents)
+    index = {agent_id: i for i, agent_id in enumerate(agents)}
+    p = np.array(
+        [scenario.error_model.probability_for(a, lattice) for a in agents], dtype=float
+    )
+
+    # correct[k, j]: in outcome k, does agent j observe the truth?
+    outcomes = np.arange(2**n, dtype=np.int64)
+    correct = np.empty((2**n, n), dtype=bool)
+    weight = np.ones(2**n, dtype=float)
+    for j in range(n):
+        correct[:, j] = (outcomes >> j) & 1
+        weight *= np.where(correct[:, j], 1.0 - p[j], p[j])
+
+    accuracies: dict[str, float] = {}
+    for rule in scenario.rules:
+        voters = compile_voters(rule, lattice, scenario.topology, 0)
+        receiver_correct = np.zeros((2**n, n), dtype=bool)
+        for r, receiver in enumerate(agents):
+            cols = [index[v] for v in voters[receiver]]
+            votes = correct[:, cols].sum(axis=1)
+            win = 2 * votes > len(cols)
+            tie = 2 * votes == len(cols)
+            receiver_correct[:, r] = win | (tie & correct[:, r])
+        accuracies[rule.name] = float(weight @ (receiver_correct.mean(axis=1)))
+    return accuracies
+
+
+def poisson_binomial_rule_accuracy(scenario: Scenario) -> dict[str, float]:
+    """Exact rule accuracy per receiver from the distribution of correct votes.
+
+    Pure Python and linear in the voters per receiver, so it reaches the
+    oracle's 20-agent cap cheaply. A receiver is right when more than half
+    of its m voters are right, or on an exact tie when its own observation
+    is right; when it votes itself, the tie needs m/2 - 1 right among the
+    others and its own observation right.
+    """
+    lattice = validate_scenario(scenario)[0]
+    agents = lattice.real_ids
+    p = {a: scenario.error_model.probability_for(a, lattice) for a in agents}
+
+    def right_counts(voters):
+        dist = [1.0]
+        for v in voters:
+            q = 1.0 - p[v]
+            nxt = [0.0] * (len(dist) + 1)
+            for k, mass in enumerate(dist):
+                nxt[k] += mass * p[v]
+                nxt[k + 1] += mass * q
+            dist = nxt
+        return dist
+
+    accuracies: dict[str, float] = {}
+    for rule in scenario.rules:
+        voters = compile_voters(rule, lattice, scenario.topology, 0)
+        total = 0.0
+        for receiver in agents:
+            m = len(voters[receiver])
+            dist = right_counts(voters[receiver])
+            share = sum(mass for k, mass in enumerate(dist) if 2 * k > m)
+            if m % 2 == 0:
+                own = 1.0 - p[receiver]
+                if receiver in voters[receiver]:
+                    others = right_counts([v for v in voters[receiver] if v != receiver])
+                    share += own * others[m // 2 - 1]
+                else:
+                    share += own * dist[m // 2]
+            total += share
+        accuracies[rule.name] = total / len(agents)
+    return accuracies

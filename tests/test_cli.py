@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -171,6 +172,15 @@ class TestInspect:
         after = json.loads(capsys.readouterr().out)
         # drifted s1=(4,3) is dominated by s2=(3,2) and s3=(2,3)
         assert after["experts"]["s1"] == ["s2", "s3"]
+
+    def test_drifted_snapshot_matches_pinned_digest(self, scenario_dir, capsys):
+        # sha256 of the stdout, recorded before inspect took its lattice
+        # from validation instead of rebuilding the sequence
+        src = str(scenario_dir / "drifting_expert.scn")
+        assert main(["inspect", src, "--at-step", "4"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == (
+            "e50a8b179635c18db7069df7e8882cf7397dc1e5e1de8bd990d493fc8fedd29a"
+        )
 
     def test_step_out_of_range(self, scenario_dir, capsys):
         assert main(["inspect", str(scenario_dir / "intersection.scn"), "--at-step", "99"]) == 1

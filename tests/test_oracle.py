@@ -1,8 +1,10 @@
 import itertools
 import math
+import random
 
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings, strategies as st
 
 from beliefsim import (
     Direction,
@@ -10,11 +12,19 @@ from beliefsim import (
     FeatureVector,
     OracleDomainError,
     GroundTruthSchedule,
+    Rule,
+    RuleKind,
     Topology,
     exact_rule_accuracy,
     run,
 )
-from support import make_schema, random_population, simple_scenario
+from beliefsim.rules import MAJORITY, MOST_EXPERT
+from support import (
+    make_schema,
+    matrix_rule_accuracy,
+    random_population,
+    simple_scenario,
+)
 
 S = Direction.SMALLER_IS_BETTER
 
@@ -183,3 +193,45 @@ class TestDomainChecks:
         )
         accuracies = exact_rule_accuracy(scenario)
         assert math.isclose(accuracies["most-expert"], 0.90, abs_tol=1e-12)
+
+
+# -- the enumeration kernel against the boolean-matrix reference --------------
+
+ALL_RULES = (MOST_EXPERT, MAJORITY) + tuple(
+    Rule(RuleKind.SUBGROUP_EXPERT, depth, include_self)
+    for depth in (1, 2, 3)
+    for include_self in (False, True)
+)
+
+
+@st.composite
+def oracle_scenarios(draw):
+    """A random in-domain scenario under every rule kind.
+
+    Graph topologies always leave the first receiver hearing no one.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 12))
+    schema, agents = random_population(rng, n, draw(st.integers(1, 3)))
+    ids = [agent_id for agent_id, _ in agents]
+    probability = st.one_of(
+        st.sampled_from((0.0, 0.5, 1.0)), st.floats(0.0, 1.0, allow_nan=False)
+    )
+    probabilities = {a: draw(probability) for a in ids}
+    if draw(st.booleans()):
+        topology = Topology.full_broadcast()
+    else:
+        adjacency = {a: draw(st.sets(st.sampled_from(ids))) for a in ids}
+        adjacency[ids[0]] = set()
+        topology = Topology.graph(adjacency)
+    return simple_scenario(schema, agents, probabilities, rules=ALL_RULES, topology=topology)
+
+
+@settings(max_examples=80, deadline=None)
+@given(oracle_scenarios())
+def test_enumeration_equals_matrix_reference_exactly(scenario):
+    accuracies = exact_rule_accuracy(scenario)
+    reference = matrix_rule_accuracy(scenario)
+    assert list(accuracies) == list(reference)
+    for name, value in reference.items():
+        assert accuracies[name] == value, name
