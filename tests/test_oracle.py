@@ -19,9 +19,11 @@ from beliefsim import (
     run,
 )
 from beliefsim.rules import MAJORITY, MOST_EXPERT
+from beliefsim.oracle import MAX_ORACLE_AGENTS
 from support import (
     make_schema,
     matrix_rule_accuracy,
+    poisson_binomial_rule_accuracy,
     random_population,
     simple_scenario,
 )
@@ -235,3 +237,24 @@ def test_enumeration_equals_matrix_reference_exactly(scenario):
     assert list(accuracies) == list(reference)
     for name, value in reference.items():
         assert accuracies[name] == value, name
+
+
+@pytest.mark.parametrize("graph", [False, True])
+def test_cap_sized_scenario_matches_poisson_binomial(graph):
+    rng = random.Random(20)
+    schema, agents = random_population(rng, MAX_ORACLE_AGENTS, 2)
+    ids = [agent_id for agent_id, _ in agents]
+    topology = Topology.full_broadcast()
+    if graph:
+        adjacency = {a: rng.sample(ids, rng.randint(0, 12)) for a in ids}
+        adjacency[ids[0]] = []
+        topology = Topology.graph(adjacency)
+    probabilities = {a: rng.uniform(0.05, 0.45) for a in ids}
+    scenario = simple_scenario(
+        schema, agents, probabilities, rules=ALL_RULES, topology=topology
+    )
+    accuracies = exact_rule_accuracy(scenario)
+    reference = poisson_binomial_rule_accuracy(scenario)
+    assert list(accuracies) == list(reference)
+    for name, value in reference.items():
+        assert math.isclose(accuracies[name], value, rel_tol=0.0, abs_tol=1e-12), name
