@@ -21,7 +21,7 @@ from .errors import OracleDomainError, ValidationError
 from .oracle import exact_rule_accuracy
 from .rules import parse_rule
 from .scenario_io import load_scenario
-from .simulator import Metrics, Scenario, lattices_by_step, run, trace_to_jsonl
+from .simulator import Metrics, Scenario, run, trace_to_jsonl, validate_scenario
 
 
 def _error(message: str) -> None:
@@ -118,7 +118,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     if not 0 <= step < scenario.steps:
         _error(f"--at-step {step} out of range for {scenario.steps}-step scenario")
         return 1
-    lattice = lattices_by_step(scenario)[step]
+    lattice = validate_scenario(scenario)[step]
     document = {
         "format": "lattice-inspect/1",
         "scenario": scenario.name,

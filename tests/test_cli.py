@@ -122,6 +122,7 @@ class TestRun:
         [
             ["run", "drifting_expert.scn", "--seed", "5", "--trials", "3"],
             ["oracle", "three_agent_expert.scn", "--rule", "majority"],
+            ["inspect", "drifting_expert.scn", "--at-step", "4"],
         ],
     )
     def test_one_build_per_distinct_lattice(
