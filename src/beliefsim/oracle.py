@@ -93,7 +93,7 @@ def exact_rule_accuracy(scenario: Scenario) -> dict[str, float]:
         groups: dict[tuple[str, ...], list[str]] = {}
         for receiver, voters in compile_voters(rule, lattice, scenario.topology, 0).items():
             groups.setdefault(voters, []).append(receiver)
-        # count[k]: receivers whose propagated belief is right in outcome k
+        # count[k]: receivers right in outcome k; n <= MAX_ORACLE_AGENTS fits uint8
         count = np.zeros(2**n, dtype=np.uint8)
         for voters, receivers in groups.items():
             half, odd = divmod(len(voters), 2)
