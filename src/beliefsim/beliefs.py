@@ -4,13 +4,14 @@ Each agent forms one boolean belief per proposition per step by observing
 ground truth through an error model: with probability p the observed value
 is flipped. Randomness is counter-based - every draw is a keyed hash of
 (seed, trial, agent, step, proposition, counter) - so observations for
-distinct agents, steps, and trials are independent streams and trial
-parallelization cannot reorder draws.
+distinct agents, steps, and trials are independent streams, and any one
+draw can be replayed from its key alone.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
@@ -18,7 +19,9 @@ from typing import Iterable, Mapping
 from .errors import ConfigurationError, UnknownAgentError, ValidationError
 from .lattice import DominanceLattice
 
-_KEY_SEP = "\x1f"  # ids are validated to exclude control characters
+# validate_scenario holds agent and proposition ids to this, so none holds _KEY_SEP.
+IDENTIFIER = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.\-]*")
+_KEY_SEP = "\x1f"
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return scenario
     try:
         scenario = _apply_overrides(scenario, args)
-        trace, metrics = run(scenario, jobs=args.jobs)
+        trace, metrics = run(scenario)
     except ValidationError as exc:
         _error(str(exc))
         return 1
@@ -88,7 +88,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         "trials": scenario.trials,
         "steps": scenario.steps,
         "rules": [rule.name for rule in scenario.rules],
-        "jobs": args.jobs,
         "package_version": __version__,
         "generated_at": datetime.now(timezone.utc).isoformat(),
     }
@@ -178,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="rule to test (repeatable): most-expert | majority | subgroup:d=<n>[,self]",
     )
     p_run.add_argument("--out-dir", default="out", help="output directory (default: out)")
-    p_run.add_argument("--jobs", type=int, default=1, help="worker threads (default: 1)")
     p_run.set_defaults(func=cmd_run)
 
     p_inspect = sub.add_parser("inspect", help="print the lattice snapshot at a step")

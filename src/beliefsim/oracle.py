@@ -19,6 +19,8 @@ small integer, divided once by n before the final dot product. The
 enumeration keeps about 13 bytes per outcome (uint32 index, float64
 weight, uint8 count), against about 100 for boolean outcome-by-agent
 matrices; reused scratch and each rule's float64 shares add 15 at peak.
+The final `weight @ (count / n)` is a BLAS dot, summed in an order set by
+the BLAS thread count, so the last digits of an accuracy depend on it.
 
 All rules here are value-symmetric (they aggregate agreement, not the
 truth value itself), so accuracy is independent of the truth value and of

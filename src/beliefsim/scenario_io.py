@@ -12,21 +12,18 @@ shipped example files and the programmatic builders in lockstep.
 
 from __future__ import annotations
 
-import re
 from pathlib import Path
 from typing import Any, Mapping
 
 import yaml
 
-from .beliefs import ErrorModel, GroundTruthSchedule, Proposition, Topology, TopologyMode
+from .beliefs import IDENTIFIER, ErrorModel, GroundTruthSchedule, Proposition, Topology, TopologyMode
 from .errors import ValidationError
 from .features import Direction, Feature, FeatureSchema, FeatureVector
 from .rules import parse_rule
 from .simulator import DriftEvent, Scenario, validate_scenario
 
 FORMAT_VERSION = 1
-
-_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.\-]*$")
 
 
 def _fail(path: str, message: str) -> ValidationError:
@@ -45,7 +42,7 @@ def _check_keys(mapping: Mapping[str, Any], path: str, allowed: set[str], requir
 
 
 def _as_identifier(value: Any, path: str) -> str:
-    if not isinstance(value, str) or not _ID_RE.match(value):
+    if not isinstance(value, str) or not IDENTIFIER.fullmatch(value):
         raise _fail(path, f"expected an identifier (letters, digits, ._-), got {value!r}")
     return value
 

@@ -5,8 +5,7 @@ propositions with their truth schedules, error model, topology, rules
 under test, and (steps, trials, seed). Each trial replays the same drift
 program; randomness enters only through observation streams keyed by
 (seed, trial, agent, step, proposition), so trials are independent and
-the whole run is reproducible bit-for-bit, with any number of worker
-threads.
+the whole run is reproducible bit-for-bit.
 
 A run goes in four parts:
 
@@ -42,13 +41,12 @@ import json
 import math
 import operator
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 from .beliefs import (
+    IDENTIFIER,
     Belief,
     BeliefProfile,
     ErrorModel,
@@ -117,6 +115,9 @@ def validate_scenario(scenario: Scenario) -> list[DominanceLattice]:
     prop_ids = [p.id for p in scenario.propositions]
     if len(set(prop_ids)) != len(prop_ids):
         raise ValidationError(f"duplicate proposition ids: {prop_ids}")
+    for id_ in [agent_id for agent_id, _ in scenario.agents] + prop_ids:
+        if not isinstance(id_, str) or not IDENTIFIER.fullmatch(id_):
+            raise ValidationError(f"ids must be letters, digits and ._-, got {id_!r}")
     for prop in scenario.propositions:
         schedule = scenario.ground_truth.get(prop.id)
         if schedule is None:
@@ -613,46 +614,50 @@ def _run_trial(plan: _Plan, trial: int) -> tuple[_StepRow, ...]:
     return tuple(rows)
 
 
-def run(scenario: Scenario, jobs: int = 1) -> tuple[Trace, Metrics]:
-    """Execute every trial and aggregate metrics.
+def run(scenario: Scenario) -> tuple[Trace, Metrics]:
+    """Execute every trial in order and aggregate metrics.
 
-    Trials are independent; with jobs > 1 they run on a thread pool and
-    results are merged in trial order, so output is identical for any
-    worker count. Metrics come from the same tally of the trials' rows
-    that :func:`compute_metrics` feeds from a trace's records.
+    Metrics come from the same tally of the trials' rows that
+    :func:`compute_metrics` feeds from a trace's records.
     """
-    if jobs < 1:
-        raise ValidationError(f"jobs must be >= 1, got {jobs}")
     plan = _compile(scenario, validate_scenario(scenario))
     points: Counter = Counter()
-
-    def collect(per_trial: Iterable[tuple[_StepRow, ...]]) -> list[tuple[_StepRow, ...]]:
-        rows = []
-        for row in per_trial:
-            for step, (raw, outcomes) in enumerate(row):
-                points[step, raw, outcomes] += 1
-            rows.append(row)
-        return rows
-
-    trial_rows = partial(_run_trial, plan)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = collect(pool.map(trial_rows, range(scenario.trials)))
-    else:
-        rows = collect(map(trial_rows, range(scenario.trials)))
+    rows = []
+    for trial in range(scenario.trials):
+        row = _run_trial(plan, trial)
+        for step, (raw, outcomes) in enumerate(row):
+            points[step, raw, outcomes] += 1
+        rows.append(row)
     return Trace(_RunRecords(plan, rows)), _tally(points, scenario)
 
 
+def _named(trial, step, rule) -> str:
+    return f"(trial {trial!r}, step {step!r}, rule {rule!r})"
+
+
 def _bool_rows(record: TraceRecord, field: str, props: Sequence[str], agents: Sequence[str]):
-    """A record's `field` maps as one bool row per proposition, in `agents` order."""
+    """A record's `field` maps as one bool row per proposition, in `agents` order.
+
+    Any other shape or value raises a ValidationError that names the record.
+    """
     maps = getattr(record, field)
-    where = f"trace record (trial {record.trial}, step {record.step}, rule {record.rule!r})"
+    where = f"trace record {_named(record.trial, record.step, record.rule)}"
+    if not isinstance(maps, Mapping) or not all(isinstance(m, Mapping) for m in maps.values()):
+        raise ValidationError(f"{where} has a malformed {field}: expected maps of agent to bool")
+    unknown = maps.keys() - set(props)
+    if unknown:
+        raise ValidationError(
+            f"{where} names proposition {min(unknown)!r}, which the scenario lacks"
+        )
     try:
         rows = tuple(tuple(maps[p][a] for a in agents) for p in props)
     except KeyError as exc:
         raise ValidationError(f"{where} has no {field} value for {exc.args[0]!r}") from None
     if any(len(maps[p]) != len(agents) for p in props):
         raise ValidationError(f"{where} has {field} values for agents the scenario lacks")
+    odd = [value for row in rows for value in row if type(value) is not bool]
+    if odd:
+        raise ValidationError(f"{where} has {field} value {odd[0]!r}, not true or false")
     return rows
 
 
@@ -665,45 +670,39 @@ def compute_metrics(trace: Trace, scenario: Scenario) -> Metrics:
     """
     rule_names = [rule.name for rule in scenario.rules]
     expected = {
-        (trial, step, name)
+        (trial, step, name): None
         for trial in range(scenario.trials)
         for step in range(scenario.steps)
         for name in rule_names
     }
-    seen = {(r.trial, r.step, r.rule) for r in trace.records}
-    if seen != expected or len(trace.records) != len(expected):
+    keys = [(r.trial, r.step, r.rule) for r in trace.records]
+    seen = set(keys)
+    if seen != expected.keys() or len(keys) != len(expected):
+        missing = [_named(*key) for key in expected if key not in seen][:1]
+        unexpected = [_named(*key) for key in keys if key not in expected][:1]
         raise ValidationError(
             f"incomplete trace: expected {len(expected)} records "
             f"({scenario.trials} trials x {scenario.steps} steps x {len(rule_names)} rules), "
-            f"got {len(trace.records)}"
+            f"got {len(keys)}"
+            + "".join(f"; first missing {key}" for key in missing)
+            + "".join(f"; first unexpected {key}" for key in unexpected)
         )
 
     props = [prop.id for prop in scenario.propositions]
-    known = set(props)
-    rule_index = {name: i for i, name in enumerate(rule_names)}
-    by_point: dict[tuple[int, int], list[TraceRecord]] = {}
-    for record in trace.records:
-        unknown = (record.raw.keys() | record.propagated.keys()) - known
-        if unknown:
-            raise ValidationError(
-                f"trace record (trial {record.trial}, step {record.step}, rule {record.rule!r}) "
-                f"names proposition {min(unknown)!r}, which the scenario lacks"
-            )
-        point = by_point.setdefault((record.trial, record.step), [None] * len(rule_names))
-        point[rule_index[record.rule]] = record
-
     agents = sorted(agent_id for agent_id, _ in scenario.agents)
-    points: Counter = Counter()
-    for (_, step), records in by_point.items():
-        outcomes = tuple(
-            (
-                _bool_rows(record, "propagated", props, agents),
-                _bool_rows(record, "tie_broken", props, agents),
-            )
-            for record in records
+    rule_index = {name: i for i, name in enumerate(rule_names)}
+    by_point: dict[tuple[int, int], list] = {}
+    for record in trace.records:
+        rows = tuple(
+            _bool_rows(record, field, props, agents)
+            for field in ("raw", "propagated", "tie_broken")
         )
+        point = by_point.setdefault((record.trial, record.step), [None] * len(rule_names))
+        point[rule_index[record.rule]] = rows
+    points: Counter = Counter()
+    for (_, step), rows in by_point.items():
         # raw beliefs repeat per rule; count them once, from the first rule
-        points[step, _bool_rows(records[0], "raw", props, agents), outcomes] += 1
+        points[step, rows[0][0], tuple(rule_rows[1:] for rule_rows in rows)] += 1
     return _tally(points, scenario)
 
 

@@ -63,10 +63,10 @@ PINS = {
 }
 
 
-def _digests(scenario_dir, case, out, extra=()):
+def _digests(scenario_dir, case, out):
     flags, _ = PINS[case]
     scenario = scenario_dir / f"{case.split('-')[0]}.scn"
-    argv = ["run", str(scenario), "--seed", SEED, "--trials", TRIALS, *flags, *extra]
+    argv = ["run", str(scenario), "--seed", SEED, "--trials", TRIALS, *flags]
     assert main([*argv, "--out-dir", str(out)]) == 0
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in DATA_FILES}
 
@@ -74,11 +74,6 @@ def _digests(scenario_dir, case, out, extra=()):
 @pytest.mark.parametrize("case", sorted(PINS))
 def test_outputs_match_pinned_digests(case, scenario_dir, tmp_path, capsys):
     assert _digests(scenario_dir, case, tmp_path) == PINS[case][1]
-
-
-def test_jobs_two_matches_pinned_digests(scenario_dir, tmp_path, capsys):
-    case = "intersection"
-    assert _digests(scenario_dir, case, tmp_path, ("--jobs", "2")) == PINS[case][1]
 
 
 MIXED_SCENARIO = """\
@@ -135,12 +130,11 @@ MIXED_PINS = {
 }
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_mixed_inputs_match_pinned_digests(jobs, tmp_path, capsys):
+def test_mixed_inputs_match_pinned_digests(tmp_path, capsys):
     scenario = tmp_path / "mixed.scn"
     scenario.write_text(MIXED_SCENARIO, encoding="utf-8")
     out = tmp_path / "out"
-    argv = ["run", str(scenario), "--seed", SEED, "--trials", TRIALS, "--jobs", jobs]
+    argv = ["run", str(scenario), "--seed", SEED, "--trials", TRIALS]
     assert main([*argv, "--out-dir", str(out)]) == 0
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in DATA_FILES}
     assert digests == MIXED_PINS

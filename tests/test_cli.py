@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ import pytest
 import yaml
 
 from beliefsim import load_scenario, simulator
-from beliefsim.cli import main
+from beliefsim.cli import build_parser, main
 
 
 def read(path):
@@ -56,14 +58,6 @@ class TestRun:
         for name in ("trace.jsonl", "metrics.json", "metrics.csv"):
             assert read(a / name) == read(b / name)
 
-    def test_jobs_flag_keeps_bytes_stable(self, scenario_dir, tmp_path):
-        src = str(scenario_dir / "intersection.scn")
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["run", src, "--trials", "60", "--out-dir", str(a)]) == 0
-        assert main(["run", src, "--trials", "60", "--jobs", "3", "--out-dir", str(b)]) == 0
-        for name in ("trace.jsonl", "metrics.json", "metrics.csv"):
-            assert read(a / name) == read(b / name)
-
     def test_rule_flags_select_rows(self, scenario_dir, tmp_path):
         out = tmp_path / "out"
         code = main(
@@ -96,8 +90,6 @@ class TestRun:
         [
             (["--seed", "-1"], "seed"),
             (["--seed", str(2**64)], "seed"),
-            (["--jobs", "0"], "jobs"),
-            (["--jobs", "-3"], "jobs"),
         ],
     )
     def test_out_of_range_override_exits_1(self, scenario_dir, tmp_path, capsys, flags, message):
@@ -239,3 +231,25 @@ def test_python_dash_m_runs_the_cli(scenario_dir):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("OK: smart-intersection")
+
+
+def test_readme_commands_parse():
+    # Every beliefsim command line in README's sh blocks, with "\" continuations
+    # joined, as `beliefsim ...` or `python ... -m beliefsim[.cli] ...`.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            for i, word in enumerate(words):
+                if word in ("beliefsim", "beliefsim.cli") and (i == 0 or words[i - 1] == "-m"):
+                    argv = words[i + 1 :]
+                    commands.append(argv[: argv.index("|")] if "|" in argv else argv)
+                    break
+    assert len(commands) >= 5
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: beliefsim {shlex.join(argv)}")

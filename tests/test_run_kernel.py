@@ -11,8 +11,6 @@ drift, graph topologies and every rule kind.
 
 import json
 import random
-import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +24,6 @@ from beliefsim import (
     RuleKind,
     Scenario,
     Topology,
-    build_intersection_scenario,
     compute_metrics,
     run,
     trace_from_jsonl,
@@ -90,11 +87,10 @@ def scenarios(draw):
     )
 
 
-@pytest.mark.parametrize("jobs", [1, 3])
 @settings(max_examples=60, deadline=None)
 @given(scenario=scenarios())
-def test_rows_render_tally_and_index_like_records(jobs, scenario):
-    trace, metrics = run(scenario, jobs=jobs)
+def test_rows_render_tally_and_index_like_records(scenario):
+    trace, metrics = run(scenario)
     text = trace_to_jsonl(trace)
 
     # text: straight from the rows, against to_dict + json.dumps per record
@@ -122,17 +118,3 @@ def test_rows_render_tally_and_index_like_records(jobs, scenario):
     with pytest.raises(IndexError):
         lazy[-expected - 1]
 
-
-def test_threads_sharing_vote_memos_match_one_thread():
-    # Worker threads share each rule's vote memo; switching threads as often
-    # as possible must still give the single-thread bytes.
-    scenario = replace(build_intersection_scenario(), trials=300)
-    expected_trace, expected_metrics = run(scenario)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        trace, metrics = run(scenario, jobs=8)
-    finally:
-        sys.setswitchinterval(interval)
-    assert trace_to_jsonl(trace) == trace_to_jsonl(expected_trace)
-    assert metrics == expected_metrics

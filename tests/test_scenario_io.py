@@ -107,6 +107,11 @@ class TestRejections:
         doc["agents"]["bad id!"] = [1.0, 1.0]
         self.check(doc, "identifier")
 
+    def test_agent_identifier_with_trailing_newline(self, intersection_doc):
+        doc = copy.deepcopy(intersection_doc)
+        doc["agents"]["s9\n"] = [1.0, 1.0]
+        self.check(doc, "agents key: expected an identifier")
+
     def test_bad_direction(self, intersection_doc):
         doc = copy.deepcopy(intersection_doc)
         doc["schema"][0]["direction"] = "bigger"

@@ -60,13 +60,6 @@ class TestRun:
         assert trace_to_jsonl(trace_a) == trace_to_jsonl(trace_b)
         assert metrics_a == metrics_b
 
-    def test_jobs_do_not_change_output(self):
-        scenario = build_intersection_scenario()
-        scenario = replace(scenario, trials=40)
-        trace_a, _ = run(scenario, jobs=1)
-        trace_b, _ = run(scenario, jobs=4)
-        assert trace_to_jsonl(trace_a) == trace_to_jsonl(trace_b)
-
     def test_different_seeds_have_overlapping_cis(self):
         scenario = build_intersection_scenario()
         base = replace(scenario, trials=3000)
@@ -84,6 +77,24 @@ class TestRun:
         )
         with pytest.raises(ValidationError):
             run(scenario)
+
+    # "\x1f" joins RandomStream keys: agent "a\x1f0" at step 1 and proposition
+    # "p" would draw what agent "a" at step 0 and proposition "1\x1fp" draw.
+    @pytest.mark.parametrize(
+        "agent, prop",
+        [("a\x1f0", "p"), ("a", "1\x1fp"), ("a\n", "p")],
+        ids=["separator-in-agent", "separator-in-proposition", "newline-in-agent"],
+    )
+    def test_ids_outside_the_identifier_rule_rejected(self, agent, prop):
+        agents = ((agent, FeatureVector((1,))),)
+        scenario = simple_scenario(make_schema((S,)), agents, {agent: 0.1})
+        scenario = replace(
+            scenario,
+            propositions=(Proposition(prop),),
+            ground_truth={prop: GroundTruthSchedule.constant(prop, True)},
+        )
+        with pytest.raises(ValidationError, match="ids must be letters, digits and ._-"):
+            validate_scenario(scenario)
 
     def test_record_count_and_shape(self):
         scenario = build_intersection_scenario()
@@ -315,6 +326,42 @@ class TestMetrics:
         truncated = Trace(self._tiny_trace().records[:1])
         with pytest.raises(ValidationError):
             compute_metrics(truncated, scenario)
+
+    @pytest.mark.parametrize(
+        "change, unexpected",
+        [
+            ({"trial": "0"}, "trial '0', step 1, rule 'majority'"),
+            ({"rule": "x"}, "trial 0, step 1, rule 'x'"),
+        ],
+        ids=["string-trial", "renamed-rule"],
+    )
+    def test_wrong_keys_with_right_count_are_named(self, change, unexpected):
+        records = list(self._tiny_trace().records)
+        records[1] = replace(records[1], **change)
+        with pytest.raises(ValidationError) as err:
+            compute_metrics(Trace(tuple(records)), self._tiny_scenario())
+        assert str(err.value).endswith(
+            "got 2; first missing (trial 0, step 1, rule 'majority'); "
+            f"first unexpected ({unexpected})"
+        )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("raw", [{"a": True}]),
+            ("propagated", None),
+            ("tie_broken", {"p": [False, False, False, False]}),
+            ("propagated", {"p": dict.fromkeys("abcd", "yes")}),
+            ("raw", {"p": dict.fromkeys("abcd", 1)}),
+        ],
+        ids=["list", "null", "per-proposition-list", "string-belief", "int-belief"],
+    )
+    def test_malformed_field_is_named(self, field, value):
+        records = list(self._tiny_trace().records)
+        records[1] = replace(records[1], **{field: value})
+        named = rf"^trace record \(trial 0, step 1, rule 'majority'\) has .*{field}"
+        with pytest.raises(ValidationError, match=named):
+            compute_metrics(Trace(tuple(records)), self._tiny_scenario())
 
     @pytest.mark.parametrize("field", ["raw", "propagated"])
     def test_unknown_proposition_is_named(self, field):
