@@ -15,23 +15,24 @@ import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Any, Callable
 
 from . import __version__
 from .errors import OracleDomainError, ValidationError
 from .oracle import exact_rule_accuracy
 from .rules import parse_rule
-from .scenario_io import load_scenario
-from .simulator import Metrics, Scenario, run, trace_to_jsonl, validate_scenario
+from .scenario_io import load_scenario, load_with_lattices
+from .simulator import Metrics, Scenario, run, trace_to_jsonl
 
 
 def _error(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-def _load(path: str) -> Scenario | int:
-    """Load and validate a scenario file, or return an exit code."""
+def _load(path: str, load: Callable[[str], Any]) -> Any:
+    """Load and validate a scenario file with `load`, or return an exit code."""
     try:
-        return load_scenario(path)
+        return load(path)
     except FileNotFoundError:
         _error(f"cannot read {path}: no such file")
         return 2
@@ -70,7 +71,7 @@ def _summary(scenario: Scenario, metrics: Metrics) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    scenario = _load(args.scenario)
+    scenario = _load(args.scenario, load_scenario)
     if isinstance(scenario, int):
         return scenario
     try:
@@ -110,14 +111,15 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    scenario = _load(args.scenario)
-    if isinstance(scenario, int):
-        return scenario
+    loaded = _load(args.scenario, load_with_lattices)
+    if isinstance(loaded, int):
+        return loaded
+    scenario, lattices = loaded
     step = args.at_step
     if not 0 <= step < scenario.steps:
         _error(f"--at-step {step} out of range for {scenario.steps}-step scenario")
         return 1
-    lattice = validate_scenario(scenario)[step]
+    lattice = lattices[step]
     document = {
         "format": "lattice-inspect/1",
         "scenario": scenario.name,
@@ -131,7 +133,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    scenario = _load(args.scenario)
+    scenario = _load(args.scenario, load_scenario)
     if isinstance(scenario, int):
         return scenario
     try:
@@ -150,7 +152,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    scenario = _load(args.scenario)
+    scenario = _load(args.scenario, load_scenario)
     if isinstance(scenario, int):
         return scenario
     print(

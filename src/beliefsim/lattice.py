@@ -4,8 +4,9 @@ The population is partially ordered by strict Pareto dominance of quality
 vectors and completed with two synthetic bound nodes: a virtual supremum
 (``__top__``, componentwise best of all real agents) and a virtual infimum
 (``__bottom__``, componentwise worst). Cover edges store the transitive
-reduction; the full dominance relation is kept as per-agent dominator /
-dominated sets, so expert queries are set lookups.
+reduction; the full dominance relation is kept as one int bit mask of
+dominators per agent, built by one sorted walk per feature, so expert
+queries and frontiers are mask operations.
 
 Instances are immutable; update/insert/remove return a fresh lattice that
 is observationally equal to building from scratch on the new population.
@@ -31,10 +32,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import groupby
+from typing import Iterable, Sequence
 
 from .errors import UnknownAgentError, ValidationError
-from .features import Comparison, FeatureSchema, FeatureVector, compare, join, meet
+from .features import Direction, FeatureSchema, FeatureVector
+from .features import compare  # not called here; bench/tracer.py looks up lattice.compare
 
 BOTTOM_ID = "__bottom__"
 TOP_ID = "__top__"
@@ -66,17 +69,16 @@ class DominanceLattice:
         schema: FeatureSchema,
         nodes: tuple[AgentNode, ...],
         cover_edges: tuple[tuple[str, str], ...],
-        dominators: Mapping[str, frozenset[str]],
-        dominated: Mapping[str, frozenset[str]],
+        dominators: tuple[int, ...],
     ) -> None:
         self.schema = schema
         self.nodes = nodes
         self.cover_edges = cover_edges
-        self._dominators = dict(dominators)
-        self._dominated = dict(dominated)
         self._by_id = {node.id: node for node in nodes}
         self._snapshot_cache: str | None = None
         self.real_ids: tuple[str, ...] = tuple(node.id for node in nodes if not node.virtual)
+        self._index = {agent_id: i for i, agent_id in enumerate(self.real_ids)}
+        self._dominators = dominators  # per real id: bit j set <=> real_ids[j] dominates it
 
     # -- identity ---------------------------------------------------------
 
@@ -106,31 +108,35 @@ class DominanceLattice:
     def quality_of(self, agent_id: str) -> FeatureVector:
         return self.node(agent_id).quality
 
-    def _require_real(self, agent_id: str) -> None:
+    def _require_real(self, agent_id: str) -> int:
+        """The agent's position in real_ids; unknown ids and virtual bounds raise."""
         node = self.node(agent_id)
         if node.virtual:
             raise UnknownAgentError(f"{agent_id!r} is a virtual bound, not an agent")
+        return self._index[agent_id]
 
     # -- order queries ------------------------------------------------------
 
     def experts_of(self, agent_id: str) -> set[str]:
         """Real agents whose quality strictly dominates this agent's."""
-        self._require_real(agent_id)
-        return set(self._dominators[agent_id])
+        mask = self._dominators[self._require_real(agent_id)]
+        return {self.real_ids[j] for j in _iter_bits(mask)}
 
     def less_experts_of(self, agent_id: str) -> set[str]:
         """Real agents whose quality is strictly dominated by this agent's."""
-        self._require_real(agent_id)
-        return set(self._dominated[agent_id])
+        bit = 1 << self._require_real(agent_id)
+        return {a for a, mask in zip(self.real_ids, self._dominators) if mask & bit}
 
     def maximal_frontier(self, among: Iterable[str]) -> set[str]:
         """Members of `among` not dominated by any other member of `among`."""
         members = set(among)
         if not members:
             raise ValidationError("maximal_frontier requires a non-empty subset")
-        for agent_id in members:
-            self._require_real(agent_id)
-        return {a for a in members if not (self._dominators[a] & members)}
+        unknown = members - self._index.keys()
+        if unknown:
+            self._require_real(min(unknown))
+        mask = sum(1 << self._index[a] for a in members)  # distinct bits, so sum is OR
+        return {a for a in members if not self._dominators[self._index[a]] & mask}
 
     # -- mutations (each returns a rebuilt lattice) --------------------------
 
@@ -204,56 +210,47 @@ def build(
     vecs = [quality for _, quality in ordered]
     n = len(ids)
 
-    # Pairwise dominance as bitmasks; the relation is transitive by
-    # construction, so these masks double as the reachability closure.
-    dominated_mask = [0] * n  # bit j set in row i: i dominates j
-    dominator_mask = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            outcome = compare(vecs[i], vecs[j], schema)
-            if outcome is Comparison.DOMINATES:
-                dominated_mask[i] |= 1 << j
-                dominator_mask[j] |= 1 << i
-            elif outcome is Comparison.DOMINATED_BY:
-                dominated_mask[j] |= 1 << i
-                dominator_mask[i] |= 1 << j
+    # One walk per feature, best value first, a group of equal values at a
+    # time; `better` holds the agents strictly better than the group. Bit i
+    # stands for ids[i]. An agent's dominators are at least as good in every
+    # feature (`at_least`) and strictly better in one (`beaten_by`).
+    at_least = [(1 << n) - 1] * n
+    beaten_by = [0] * n
+    best, worst = [], []  # each walk's first and last value: the bounds' qualities
+    for k, feature in enumerate(schema.features):
+        values = [vec.values[k] for vec in vecs]
+        larger = feature.direction is Direction.LARGER_IS_BETTER
+        order = sorted(range(n), key=values.__getitem__, reverse=larger)
+        better = 0
+        for _, group in groupby(order, key=values.__getitem__):
+            group = list(group)
+            tied = sum(1 << i for i in group)
+            for i in group:
+                at_least[i] &= better | tied
+                beaten_by[i] |= better
+            better |= tied
+        if order:
+            best.append(values[order[0]])
+            worst.append(values[order[-1]])
+    dominators = tuple(ge & gt for ge, gt in zip(at_least, beaten_by))
 
-    # Transitive reduction: drop (i, j) when some dominated w of i also dominates j.
+    # A dominator of i is a cover of i unless it dominates another dominator of i.
     cover_edges: list[tuple[str, str]] = []
-    for i in range(n):
-        below = dominated_mask[i]
+    dominating = 0
+    for i, mask in enumerate(dominators):
         indirect = 0
-        for w in _iter_bits(below):
-            indirect |= dominated_mask[w]
-        for j in _iter_bits(below & ~indirect):
-            cover_edges.append((ids[i], ids[j]))
-
-    # Virtual bounds: top joins all real qualities, bottom meets them.
-    if n:
-        top_quality = vecs[0]
-        bottom_quality = vecs[0]
-        for vec in vecs[1:]:
-            top_quality = join(top_quality, vec, schema)
-            bottom_quality = meet(bottom_quality, vec, schema)
-        for i in range(n):
-            if dominator_mask[i] == 0:
-                cover_edges.append((TOP_ID, ids[i]))
-            if dominated_mask[i] == 0:
-                cover_edges.append((ids[i], BOTTOM_ID))
-    else:
-        zero = FeatureVector((0.0,) * schema.dimension)
-        top_quality = bottom_quality = zero
+        for d in _iter_bits(mask):
+            indirect |= dominators[d]
+        cover_edges.extend((ids[d], ids[i]) for d in _iter_bits(mask & ~indirect))
+        dominating |= mask
+    cover_edges.extend((TOP_ID, ids[i]) for i in range(n) if not dominators[i])
+    cover_edges.extend((ids[i], BOTTOM_ID) for i in range(n) if not dominating >> i & 1)
+    if not n:
+        best = worst = [0.0] * schema.dimension
         cover_edges.append((TOP_ID, BOTTOM_ID))
 
     nodes = (
-        AgentNode(BOTTOM_ID, bottom_quality, virtual=True),
-        AgentNode(TOP_ID, top_quality, virtual=True),
+        AgentNode(BOTTOM_ID, FeatureVector(tuple(worst)), virtual=True),
+        AgentNode(TOP_ID, FeatureVector(tuple(best)), virtual=True),
     ) + tuple(AgentNode(agent_id, quality) for agent_id, quality in zip(ids, vecs))
-
-    dominators = {
-        ids[i]: frozenset(ids[j] for j in _iter_bits(dominator_mask[i])) for i in range(n)
-    }
-    dominated = {
-        ids[i]: frozenset(ids[j] for j in _iter_bits(dominated_mask[i])) for i in range(n)
-    }
-    return DominanceLattice(schema, nodes, tuple(sorted(cover_edges)), dominators, dominated)
+    return DominanceLattice(schema, nodes, tuple(sorted(cover_edges)), dominators)

@@ -20,6 +20,7 @@ import yaml
 from .beliefs import IDENTIFIER, ErrorModel, GroundTruthSchedule, Proposition, Topology, TopologyMode
 from .errors import ValidationError
 from .features import Direction, Feature, FeatureSchema, FeatureVector
+from .lattice import DominanceLattice
 from .rules import parse_rule
 from .simulator import DriftEvent, Scenario, validate_scenario
 
@@ -263,6 +264,11 @@ _TOP_REQUIRED = {
 
 def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
     """Validate a parsed document and build a Scenario; raises ValidationError."""
+    return _parse(data, default_name)[0]
+
+
+def _parse(data: Any, default_name: str) -> tuple[Scenario, list[DominanceLattice]]:
+    """parse_scenario's Scenario and the per-step lattices its validation built."""
     _check_keys(data, "", _TOP_KEYS, _TOP_REQUIRED)
     version = _as_int(data["version"], "version")
     if version != FORMAT_VERSION:
@@ -299,18 +305,22 @@ def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
         drift=_parse_drift(data.get("drift")),
         name=name,
     )
-    validate_scenario(scenario)
-    return scenario
+    return scenario, validate_scenario(scenario)
 
 
 def load_scenario(path: str | Path) -> Scenario:
+    return load_with_lattices(path)[0]
+
+
+def load_with_lattices(path: str | Path) -> tuple[Scenario, list[DominanceLattice]]:
+    """Load and validate a scenario file; also return the per-step lattices validation built."""
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ValidationError(f"{path.name}: not valid YAML: {exc}") from None
-    return parse_scenario(data, default_name=path.stem)
+    return _parse(data, default_name=path.stem)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

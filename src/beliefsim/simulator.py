@@ -14,8 +14,8 @@ A run goes in four parts:
   each proposition, each rule's voters as index tuples (read from
   :func:`apply_rule`, since voters depend only on the step's lattice, the
   topology and the receiver) and the trace text that no trial changes.
-  Validation builds the lattices; the CLI's second validation after its
-  flag overrides reuses them.
+  Validation builds the lattices; the CLI validates again after its
+  flag overrides, which rebuilds them (a few ms at 200 agents).
 - **Rows.** A trial draws every belief through :class:`RandomStream` and
   votes every rule over the compiled voters with the shared ``_vote``.
   It keeps only bools: per step, the raw beliefs per proposition and,
@@ -41,7 +41,7 @@ import json
 import math
 import operator
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Hashable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -151,30 +151,10 @@ def validate_scenario(scenario: Scenario) -> list[DominanceLattice]:
             )
     # Builds every per-step lattice: catches duplicate ids, dimension
     # mismatches, error-model gaps, and non-finite drifted values now.
-    lattices = _step_lattices(scenario)
+    lattices = lattices_by_step(scenario)
     for lattice in lattices:
         for agent_id in lattice.real_ids:
             scenario.error_model.probability_for(agent_id, lattice)
-    return lattices
-
-
-# The lattices of the last scenario validated, keyed on the only fields they
-# depend on and kept for the next validation only. The CLI validates a file
-# when it loads it and again after the --seed/--trials/--rule overrides,
-# which never touch these fields; the second validation takes the lattices,
-# so the memo holds none while trials run. Equal fields build equal,
-# immutable lattices, so the memo changes only how often build() runs.
-_last_lattices: tuple[tuple, tuple[DominanceLattice, ...]] | None = None
-
-
-def _step_lattices(scenario: Scenario) -> list[DominanceLattice]:
-    global _last_lattices
-    key = (scenario.schema, scenario.agents, scenario.drift, scenario.steps)
-    memo, _last_lattices = _last_lattices, None
-    if memo is not None and memo[0] == key:
-        return list(memo[1])
-    lattices = lattices_by_step(scenario)
-    _last_lattices = (key, tuple(lattices))
     return lattices
 
 
@@ -676,6 +656,9 @@ def compute_metrics(trace: Trace, scenario: Scenario) -> Metrics:
         for name in rule_names
     }
     keys = [(r.trial, r.step, r.rule) for r in trace.records]
+    odd = [key for key in keys if not all(isinstance(part, Hashable) for part in key)]
+    if odd:
+        raise ValidationError(f"trace record {_named(*odd[0])} has a list or map as a key")
     seen = set(keys)
     if seen != expected.keys() or len(keys) != len(expected):
         missing = [_named(*key) for key in expected if key not in seen][:1]
@@ -700,9 +683,16 @@ def compute_metrics(trace: Trace, scenario: Scenario) -> Metrics:
         point = by_point.setdefault((record.trial, record.step), [None] * len(rule_names))
         point[rule_index[record.rule]] = rows
     points: Counter = Counter()
-    for (_, step), rows in by_point.items():
+    for (trial, step), rows in by_point.items():
         # raw beliefs repeat per rule; count them once, from the first rule
-        points[step, rows[0][0], tuple(rule_rows[1:] for rule_rows in rows)] += 1
+        raw = rows[0][0]
+        for name, rule_rows in zip(rule_names, rows):
+            if rule_rows[0] != raw:
+                raise ValidationError(
+                    f"trace records {_named(trial, step, rule_names[0])} and "
+                    f"{_named(trial, step, name)} disagree on raw"
+                )
+        points[step, raw, tuple(rule_rows[1:] for rule_rows in rows)] += 1
     return _tally(points, scenario)
 
 

@@ -109,30 +109,6 @@ class TestRun:
         )
         assert code == 0
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["run", "drifting_expert.scn", "--seed", "5", "--trials", "3"],
-            ["oracle", "three_agent_expert.scn", "--rule", "majority"],
-            ["inspect", "drifting_expert.scn", "--at-step", "4"],
-        ],
-    )
-    def test_one_build_per_distinct_lattice(
-        self, scenario_dir, tmp_path, monkeypatch, capsys, argv
-    ):
-        command, name, *flags = argv
-        path = str(scenario_dir / name)
-        distinct = {lattice.digest() for lattice in simulator.lattices_by_step(load_scenario(path))}
-        monkeypatch.setattr(simulator, "_last_lattices", None)
-        builds = []
-        real_build = simulator.build
-        monkeypatch.setattr(
-            simulator, "build", lambda *args: builds.append(args) or real_build(*args)
-        )
-        out = ["--out-dir", str(tmp_path)] if command == "run" else []
-        assert main([command, path, *flags, *out]) == 0
-        assert len(builds) == len(distinct)
-
     def test_unwritable_out_dir_is_io_failure(self, scenario_dir, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory")
@@ -155,6 +131,17 @@ class TestInspect:
         assert doc["less_experts"]["s1"] == ["s2", "s3", "s4"]
         node_ids = [n["id"] for n in doc["lattice"]["nodes"]]
         assert node_ids == ["__bottom__", "__top__", "s1", "s2", "s3", "s4"]
+
+    def test_one_build_per_distinct_lattice(self, scenario_dir, monkeypatch, capsys):
+        path = str(scenario_dir / "drifting_expert.scn")
+        distinct = {lattice.digest() for lattice in simulator.lattices_by_step(load_scenario(path))}
+        builds = []
+        real_build = simulator.build
+        monkeypatch.setattr(
+            simulator, "build", lambda *args: builds.append(args) or real_build(*args)
+        )
+        assert main(["inspect", path, "--at-step", "4"]) == 0
+        assert len(builds) == len(distinct)
 
     def test_drift_applied_up_to_step(self, scenario_dir, capsys):
         src = str(scenario_dir / "drifting_expert.scn")

@@ -100,10 +100,16 @@ class TestBuild:
 
     def test_reachability_matches_pairwise_oracle(self):
         rng = random.Random(11)
-        for trial in range(20):
-            schema, agents = random_population(rng, rng.randint(1, 20), rng.randint(1, 3))
+        for trial in range(40):
+            schema, agents = random_population(rng, rng.randint(1, 60), rng.randint(1, 3))
             lattice = build(schema, agents)
-            assert reachable_real(lattice) == brute_dominates(schema, agents)
+            dominates = brute_dominates(schema, agents)
+            assert reachable_real(lattice) == dominates
+            for agent_id, _ in agents:
+                assert lattice.less_experts_of(agent_id) == dominates[agent_id]
+                assert lattice.experts_of(agent_id) == {
+                    other for other, below in dominates.items() if agent_id in below
+                }
 
     def test_cover_edges_are_immediate(self):
         rng = random.Random(13)
@@ -140,11 +146,15 @@ class TestQueries:
             lattice.experts_of("nobody")
         with pytest.raises(UnknownAgentError):
             lattice.less_experts_of("nobody")
+        with pytest.raises(UnknownAgentError, match="unknown agent 'nobody'"):
+            lattice.maximal_frontier({"s1", "nobody"})
 
     def test_virtual_bounds_not_queryable(self, intersection):
         _, _, lattice = intersection
         with pytest.raises(UnknownAgentError):
             lattice.experts_of(TOP_ID)
+        with pytest.raises(UnknownAgentError, match="virtual bound"):
+            lattice.maximal_frontier({"s2", TOP_ID})
 
     def test_empty_frontier_subset_rejected(self, intersection):
         _, _, lattice = intersection

@@ -503,3 +503,33 @@ class TestTraceSerialization:
         lines[4] = json.dumps(replace_record(json.loads(lines[4])))
         with pytest.raises(ValidationError, match=f"trace line 5: {message}"):
             trace_from_jsonl("\n".join(lines))
+
+    def test_list_valued_trial_is_named(self):
+        scenario = replace(build_intersection_scenario(), trials=2)
+        lines = self._two_trial_text().splitlines()
+        record = json.loads(lines[0])
+        record["trial"] = [0]
+        lines[0] = json.dumps(record)
+        trace = trace_from_jsonl("\n".join(lines))
+        with pytest.raises(
+            ValidationError,
+            match=r"^trace record \(trial \[0\], step 0, rule 'most-expert'\) has a list",
+        ):
+            compute_metrics(trace, scenario)
+
+    def test_conflicting_raw_is_named(self):
+        scenario = replace(build_intersection_scenario(), trials=2)
+        lines = self._two_trial_text().splitlines()
+        record = json.loads(lines[1])
+        record["raw"] = {
+            p: {a: not value for a, value in beliefs.items()}
+            for p, beliefs in record["raw"].items()
+        }
+        lines[1] = json.dumps(record)
+        trace = trace_from_jsonl("\n".join(lines))
+        with pytest.raises(ValidationError) as err:
+            compute_metrics(trace, scenario)
+        assert str(err.value) == (
+            "trace records (trial 0, step 0, rule 'most-expert') and "
+            "(trial 0, step 0, rule 'majority') disagree on raw"
+        )
