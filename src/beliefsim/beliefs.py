@@ -14,6 +14,7 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import ConfigurationError, UnknownAgentError, ValidationError
@@ -62,7 +63,7 @@ class BeliefProfile:
                     f"belief for {agent_id!r} does not match profile keys"
                 )
 
-    @property
+    @cached_property
     def agents(self) -> frozenset[str]:
         return frozenset(self.beliefs)
 
@@ -73,7 +74,9 @@ class BeliefProfile:
             raise UnknownAgentError(f"no belief for agent {agent_id!r}") from None
 
     def restrict(self, agents: Iterable[str]) -> "BeliefProfile":
-        keep = set(agents)
+        keep = frozenset(agents)  # no copy of a frozenset
+        if keep >= self.agents:
+            return self
         return BeliefProfile(
             self.step,
             self.proposition,
@@ -152,7 +155,10 @@ class Topology:
 
     def visible(self, receiver: str, population: Iterable[str]) -> frozenset[str]:
         """Agents whose beliefs the receiver sees: in-neighbors plus itself."""
-        return self.sources(receiver, population) | {receiver}
+        if self.mode is TopologyMode.FULL_BROADCAST:
+            population = frozenset(population)  # no copy of a frozenset, returned as is
+            return population if receiver in population else population | {receiver}
+        return self.adjacency.get(receiver, frozenset()) | {receiver}
 
 
 class ErrorModelKind(Enum):
@@ -211,7 +217,7 @@ class ErrorModel:
         if lattice is None:
             raise ConfigurationError("quality-mapped error model requires a lattice")
         rank_pool = max(1, len(lattice.real_ids) - 1)
-        rank = len(lattice.experts_of(agent_id)) / rank_pool
+        rank = lattice.expert_count(agent_id) / rank_pool
         return self.p_min + (self.p_max - self.p_min) * rank
 
 

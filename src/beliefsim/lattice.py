@@ -6,7 +6,9 @@ vectors and completed with two synthetic bound nodes: a virtual supremum
 (``__bottom__``, componentwise worst). Cover edges store the transitive
 reduction; the full dominance relation is kept as one int bit mask of
 dominators per agent, built by one sorted walk per feature, so expert
-queries and frontiers are mask operations.
+queries and frontiers are mask operations. Each instance memoises the
+frontier of every member set it is asked about, keyed by the set's mask,
+so receivers that see the same agents share one frontier.
 
 Instances are immutable; update/insert/remove return a fresh lattice that
 is observationally equal to building from scratch on the new population.
@@ -78,7 +80,9 @@ class DominanceLattice:
         self._snapshot_cache: str | None = None
         self.real_ids: tuple[str, ...] = tuple(node.id for node in nodes if not node.virtual)
         self._index = {agent_id: i for i, agent_id in enumerate(self.real_ids)}
+        self._bit = {agent_id: 1 << i for agent_id, i in self._index.items()}
         self._dominators = dominators  # per real id: bit j set <=> real_ids[j] dominates it
+        self._frontiers: dict[int, frozenset[str]] = {}  # members' mask -> their frontier
 
     # -- identity ---------------------------------------------------------
 
@@ -127,16 +131,26 @@ class DominanceLattice:
         bit = 1 << self._require_real(agent_id)
         return {a for a, mask in zip(self.real_ids, self._dominators) if mask & bit}
 
+    def expert_count(self, agent_id: str) -> int:
+        """How many real agents strictly dominate this agent."""
+        return self._dominators[self._require_real(agent_id)].bit_count()
+
     def maximal_frontier(self, among: Iterable[str]) -> set[str]:
-        """Members of `among` not dominated by any other member of `among`."""
-        members = set(among)
-        if not members:
+        """Members of `among` not dominated by another member; memoised by mask, copied out."""
+        members = frozenset(among)  # no copy when `among` is a frozenset already
+        try:
+            mask = sum(map(self._bit.__getitem__, members))  # distinct bits, so sum is OR
+        except KeyError:
+            self._require_real(min(members - self._bit.keys()))  # raises for that id
+            raise
+        if not mask:
             raise ValidationError("maximal_frontier requires a non-empty subset")
-        unknown = members - self._index.keys()
-        if unknown:
-            self._require_real(min(unknown))
-        mask = sum(1 << self._index[a] for a in members)  # distinct bits, so sum is OR
-        return {a for a in members if not self._dominators[self._index[a]] & mask}
+        frontier = self._frontiers.get(mask)
+        if frontier is None:
+            frontier = self._frontiers[mask] = frozenset(
+                a for a in members if not self._dominators[self._index[a]] & mask
+            )
+        return set(frontier)
 
     # -- mutations (each returns a rebuilt lattice) --------------------------
 

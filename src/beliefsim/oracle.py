@@ -15,12 +15,13 @@ product. Receivers with the same voters (compile_voters) form one group,
 so under full broadcast `majority` and `most-expert` are one group each.
 A group's right votes in every outcome are one popcount of the outcome
 masked by its voters. Each outcome's count of right receivers is an exact
-small integer, divided once by n before the final dot product. The
-enumeration keeps about 13 bytes per outcome (uint32 index, float64
-weight, uint8 count), against about 100 for boolean outcome-by-agent
-matrices; reused scratch and each rule's float64 shares add 15 at peak.
-The final `weight @ (count / n)` is a BLAS dot, summed in an order set by
-the BLAS thread count, so the last digits of an accuracy depend on it.
+small integer, divided by n into a float64 share and multiplied by the
+outcome's weight; numpy's pairwise sum of those products is the accuracy.
+That sum uses no threads, so the printed digits do not depend on the BLAS
+thread count. The enumeration keeps about 13 bytes per outcome (uint32
+index, float64 weight, uint8 count), against about 100 for boolean
+outcome-by-agent matrices; reused scratch, one float64 array of shares
+included, adds 15 at peak.
 
 All rules here are value-symmetric (they aggregate agreement, not the
 truth value itself), so accuracy is independent of the truth value and of
@@ -89,6 +90,7 @@ def exact_rule_accuracy(scenario: Scenario) -> dict[str, float]:
     votes = np.empty(2**n, dtype=np.uint8)
     right = np.empty(2**n, dtype=np.uint8)
     decided = np.empty(2**n, dtype=bool)
+    shares = np.empty(2**n, dtype=float)
     accuracies: dict[str, float] = {}
     for rule in scenario.rules:
         groups: dict[tuple[str, ...], list[str]] = {}
@@ -110,5 +112,7 @@ def exact_rule_accuracy(scenario: Scenario) -> dict[str, float]:
                 np.bitwise_count(masked, out=right)
                 np.multiply(right, decided, out=right)
                 count += right
-        accuracies[rule.name] = float(weight @ (count / n))
+        np.divide(count, n, out=shares)
+        shares *= weight
+        accuracies[rule.name] = float(shares.sum())
     return accuracies

@@ -5,7 +5,9 @@ contributors) from the dominance lattice, the sharing topology and the
 receiver, then takes a majority vote over the voters' beliefs. The voter
 set never depends on beliefs, so the simulator compiles it once per
 (step, rule) from :func:`apply_rule` and votes every trial over it with
-the same :func:`_vote`.
+the same :func:`_vote`. The lattice memoises frontiers by member set, so
+receivers with the same visible set share one: under full broadcast,
+most-expert computes one frontier per step, not one per receiver.
 
 Tie policy, shared by all rules: on an exact vote tie the receiver
 retains its own prior belief and the outcome is flagged tie_broken.

@@ -25,6 +25,7 @@ from .rules import parse_rule
 from .simulator import DriftEvent, Scenario, validate_scenario
 
 FORMAT_VERSION = 1
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml's parser when PyYAML has it
 
 
 def _fail(path: str, message: str) -> ValidationError:
@@ -317,7 +318,7 @@ def load_with_lattices(path: str | Path) -> tuple[Scenario, list[DominanceLattic
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ValidationError(f"{path.name}: not valid YAML: {exc}") from None
     return _parse(data, default_name=path.stem)

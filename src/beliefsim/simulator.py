@@ -14,6 +14,9 @@ A run goes in four parts:
   each proposition, each rule's voters as index tuples (read from
   :func:`apply_rule`, since voters depend only on the step's lattice, the
   topology and the receiver) and the trace text that no trial changes.
+  The lattice computes one frontier per distinct visible set, each
+  distinct voter set is sorted and rendered as JSON once, and each
+  (step, rule) renders one receiver map that every proposition shares.
   Validation builds the lattices; the CLI validates again after its
   flag overrides, which rebuilds them (a few ms at 200 agents).
 - **Rows.** A trial draws every belief through :class:`RandomStream` and
@@ -513,23 +516,27 @@ def compile_voters(
     """Each receiver's sorted voters under `rule` at `step`, in lattice order.
 
     Voters never depend on beliefs, so they are read from apply_rule's
-    contributors over a placeholder profile.
+    contributors over a placeholder profile; each distinct set is sorted once.
     """
     placeholder = BeliefProfile(step, "", {a: Belief(a, "", False) for a in lattice.real_ids})
     result = apply_rule(rule, lattice, placeholder, topology)
-    return {a: tuple(sorted(result.contributors[a])) for a in lattice.real_ids}
+    ordered = {v: tuple(sorted(v)) for v in set(result.contributors.values())}
+    return {a: ordered[result.contributors[a]] for a in lattice.real_ids}
 
 
 def _compile(scenario: Scenario, lattices: Sequence[DominanceLattice]) -> _Plan:
     """The per-step plan: agents, error probabilities, truth, voters, fixed trace text."""
     props = tuple(p.id for p in scenario.propositions)
+    props_template = _template(props)
     # Receivers often share a voter set (under full broadcast, every receiver
-    # of majority or most-expert does), so each distinct one is kept and
-    # converted to indices once.
+    # of majority or most-expert does), so each distinct one is kept, and
+    # converted to indices and to JSON text, once.
     shared: dict[tuple[str, ...], tuple[str, ...]] = {}
+    as_text: dict[tuple[str, ...], str] = {}
     steps = []
     for step, lattice in enumerate(lattices):
         agents = lattice.real_ids
+        agents_template = _template(agents)
         index = {agent_id: i for i, agent_id in enumerate(agents)}
         as_indices: dict[tuple[str, ...], tuple[int, ...]] = {}
         digest = lattice.digest()
@@ -542,6 +549,9 @@ def _compile(scenario: Scenario, lattices: Sequence[DominanceLattice]) -> _Plan:
             for v in voters.values():
                 if v not in as_indices:
                     as_indices[v] = tuple(index[voter] for voter in v)
+                if v not in as_text:
+                    as_text[v] = json.dumps(v, separators=(",", ":"))
+            by_receiver = agents_template % tuple(as_text[voters[a]] for a in agents)
             rules.append(
                 _RulePlan(
                     rule.name,
@@ -549,8 +559,7 @@ def _compile(scenario: Scenario, lattices: Sequence[DominanceLattice]) -> _Plan:
                     voters,
                     f',"step":{step},"rule":{json.dumps(rule.name)},'
                     f'"lattice_digest":{json.dumps(digest)},"raw":',
-                    ',"contributors":'
-                    + json.dumps(dict.fromkeys(props, voters), separators=(",", ":")),
+                    ',"contributors":' + props_template % ((by_receiver,) * len(props)),
                     {},
                 )
             )
@@ -561,10 +570,10 @@ def _compile(scenario: Scenario, lattices: Sequence[DominanceLattice]) -> _Plan:
                 tuple(scenario.error_model.probability_for(a, lattice) for a in agents),
                 tuple(scenario.ground_truth[p].value_at(step) for p in props),
                 tuple(rules),
-                _template(agents),
+                agents_template,
             )
         )
-    return _Plan(scenario.seed, props, _template(props), tuple(steps))
+    return _Plan(scenario.seed, props, props_template, tuple(steps))
 
 
 def _propagate(rule: _RulePlan, raw) -> tuple[tuple, tuple]:

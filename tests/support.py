@@ -29,7 +29,8 @@ from beliefsim import (
     Topology,
     compare,
 )
-from beliefsim.rules import MAJORITY, MOST_EXPERT
+from beliefsim.beliefs import TopologyMode
+from beliefsim.rules import MAJORITY, MOST_EXPERT, RuleKind
 from beliefsim.simulator import RuleMetrics, compile_voters, validate_scenario
 
 
@@ -63,6 +64,40 @@ def brute_dominates(schema, agents):
         for v_id, v in agents:
             if u_id != v_id and compare(u, v, schema) is Comparison.DOMINATES:
                 result[u_id].add(v_id)
+    return result
+
+
+def brute_voters(rule, schema, agents, topology):
+    """Each receiver's sorted voters from the rule definitions, over plain sets.
+
+    Dominance comes from brute_dominates; no lattice, mask or rule code is used.
+    """
+    dominates = brute_dominates(schema, agents)
+    ids = sorted(dominates)
+    experts = {a: {u for u in ids if a in dominates[u]} for a in ids}
+
+    def frontier(group):
+        return {a for a in group if not experts[a] & group}
+
+    result = {}
+    for receiver in ids:
+        if topology.mode is TopologyMode.FULL_BROADCAST:
+            visible = set(ids)
+        else:
+            visible = set(topology.adjacency.get(receiver, ())) | {receiver}
+        if rule.kind is RuleKind.MOST_EXPERT:
+            voters = frontier(visible)
+        elif rule.kind is RuleKind.MAJORITY:
+            voters = visible
+        else:
+            remaining = experts[receiver] & visible
+            voters = {receiver} if rule.include_self or not remaining else set()
+            for _ in range(rule.depth):
+                if remaining:
+                    layer = frontier(remaining)
+                    voters |= layer
+                    remaining -= layer
+        result[receiver] = tuple(sorted(voters))
     return result
 
 
@@ -212,7 +247,9 @@ def matrix_rule_accuracy(scenario: Scenario) -> dict[str, float]:
             win = 2 * votes > len(cols)
             tie = 2 * votes == len(cols)
             receiver_correct[:, r] = win | (tie & correct[:, r])
-        accuracies[rule.name] = float(weight @ (receiver_correct.mean(axis=1)))
+        shares = receiver_correct.mean(axis=1)
+        shares *= weight
+        accuracies[rule.name] = float(shares.sum())
     return accuracies
 
 

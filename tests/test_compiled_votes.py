@@ -3,19 +3,20 @@
 The simulator reads each receiver's voters once per (step, rule) and
 votes every trial over them. That rests on one property: apply_rule's
 contributors never depend on the belief profile. These tests check the
-property and that the compiled vote reproduces apply_rule exactly.
+property, that the compiled vote reproduces apply_rule exactly, and that
+the compiled voters equal a brute-force reference over plain sets.
 """
 
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from beliefsim import DriftEvent, Rule, RuleKind, Topology, build, run
 from beliefsim.rules import MAJORITY, MOST_EXPERT, _vote, apply_rule
 from beliefsim.simulator import compile_voters, lattices_by_step
 
-from support import make_profile, random_population, simple_scenario
+from support import brute_voters, make_profile, random_population, simple_scenario
 
 RULES = [MOST_EXPERT, MAJORITY] + [
     Rule(RuleKind.SUBGROUP_EXPERT, depth, include_self)
@@ -28,7 +29,7 @@ RULES = [MOST_EXPERT, MAJORITY] + [
 def rule_cases(draw):
     """A random lattice and topology, a rule, a step and two belief profiles."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(1, 9))
+    n = draw(st.integers(1, 40))
     schema, agents = random_population(rng, n, draw(st.integers(1, 3)))
     lattice = build(schema, agents)
     ids = lattice.real_ids
@@ -65,6 +66,21 @@ def test_compiled_vote_equals_apply_rule(case):
                 result.propagated[receiver],
                 result.tie_broken[receiver],
             )
+
+
+@settings(max_examples=40, deadline=None)
+@given(rule_cases(), st.randoms(use_true_random=False))
+def test_compiled_voters_equal_brute_force_reference(case, rng):
+    lattice, _, _, step, _ = case
+    ids = lattice.real_ids
+    agents = [(a, lattice.quality_of(a)) for a in ids]
+    graph = Topology.graph({a: rng.sample(ids, rng.randint(0, len(ids))) for a in ids})
+    for topology in (Topology.full_broadcast(), graph):
+        for rule in RULES:
+            expected = brute_voters(rule, lattice.schema, agents, topology)
+            assert compile_voters(rule, lattice, topology, step) == expected
+            # the frontiers memoised by the first call give the same voters
+            assert compile_voters(rule, lattice, topology, step) == expected
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

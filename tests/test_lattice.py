@@ -59,6 +59,12 @@ class TestIntersectionExample:
         assert lattice.maximal_frontier({"s1", "s2", "s3", "s4"}) == {"s1"}
         assert lattice.maximal_frontier({"s2", "s3"}) == {"s2", "s3"}
         assert lattice.maximal_frontier({"s4"}) == {"s4"}
+        # frontiers are memoised; changing a returned set must not reach the memo
+        frontier = lattice.maximal_frontier({"s2", "s3", "s4"})
+        frontier.add("s4")
+        frontier.discard("s2")
+        assert lattice.maximal_frontier({"s2", "s3", "s4"}) == {"s2", "s3"}
+        assert lattice.maximal_frontier(["s4", "s3", "s2"]) == {"s2", "s3"}
 
     def test_virtual_bounds(self, intersection):
         _, _, lattice = intersection
@@ -110,6 +116,7 @@ class TestBuild:
                 assert lattice.experts_of(agent_id) == {
                     other for other, below in dominates.items() if agent_id in below
                 }
+                assert lattice.expert_count(agent_id) == len(lattice.experts_of(agent_id))
 
     def test_cover_edges_are_immediate(self):
         rng = random.Random(13)

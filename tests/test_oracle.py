@@ -1,11 +1,16 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
+import beliefsim
 from beliefsim import (
     Direction,
     DriftEvent,
@@ -17,6 +22,7 @@ from beliefsim import (
     Topology,
     exact_rule_accuracy,
     run,
+    save_scenario,
 )
 from beliefsim.rules import MAJORITY, MOST_EXPERT
 from beliefsim.oracle import MAX_ORACLE_AGENTS
@@ -258,3 +264,25 @@ def test_cap_sized_scenario_matches_poisson_binomial(graph):
     assert list(accuracies) == list(reference)
     for name, value in reference.items():
         assert math.isclose(accuracies[name], value, rel_tol=0.0, abs_tol=1e-12), name
+
+
+def test_printed_digits_do_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS reads its thread count once, at import, so each count needs
+    # its own process. A BLAS dot of 2^20 terms splits the sum by thread.
+    rng = random.Random(21)
+    schema, agents = random_population(rng, MAX_ORACLE_AGENTS, 2)
+    probabilities = {agent_id: rng.uniform(0.05, 0.45) for agent_id, _ in agents}
+    path = tmp_path / "twenty.scn"
+    save_scenario(simple_scenario(schema, agents, probabilities, rules=ALL_RULES), path)
+    package_parent = str(Path(beliefsim.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_parent, os.environ.get("PYTHONPATH")]))
+    printed = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run(
+            [sys.executable, "-m", "beliefsim", "oracle", str(path)],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        printed.append(done.stdout)
+    assert printed[0] == printed[1]

@@ -1,15 +1,22 @@
 import copy
+import random
+from pathlib import Path
 
 import pytest
 import yaml
 
 from beliefsim import (
+    DriftEvent,
     ValidationError,
     build_intersection_scenario,
     load_scenario,
     parse_scenario,
     scenario_to_dict,
 )
+
+from support import random_population, simple_scenario
+
+SCENARIO_FILES = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.scn"))
 
 
 @pytest.fixture
@@ -189,6 +196,33 @@ def test_not_yaml_file(tmp_path):
     with pytest.raises(ValidationError) as err:
         load_scenario(path)
     assert "not valid YAML" in str(err.value)
+
+
+def _crowd_document() -> str:
+    """A 200-agent scenario with fractional drift on every later step, as YAML text."""
+    rng = random.Random(200)
+    schema, agents = random_population(rng, 200, 3)
+    ids = [agent_id for agent_id, _ in agents]
+    drift = [
+        DriftEvent(rng.choice(ids), f"f{rng.randrange(3)}", step, delta=rng.uniform(-2.0, 2.0))
+        for step in (1, 2, 3)
+        for _ in range(2)
+    ]
+    scenario = simple_scenario(
+        schema, agents, {a: rng.uniform(0.0, 0.5) for a in ids}, steps=4, drift=drift
+    )
+    return yaml.safe_dump(scenario_to_dict(scenario), sort_keys=False)
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+@pytest.mark.parametrize(
+    "text",
+    [path.read_text() for path in SCENARIO_FILES] + [_crowd_document()],
+    ids=[path.name for path in SCENARIO_FILES] + ["crowd-200-drift"],
+)
+def test_libyaml_and_python_loaders_agree(text):
+    # The loader parses with libyaml when PyYAML has it, else in pure Python.
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
 
 
 def test_default_name_comes_from_filename(tmp_path, intersection_doc):
