@@ -147,12 +147,6 @@ class Topology:
                         f"topology: agent {receiver!r} lists unknown source {source!r}"
                     )
 
-    def sources(self, receiver: str, population: Iterable[str]) -> frozenset[str]:
-        """In-neighbors of the receiver (excluding the receiver itself)."""
-        if self.mode is TopologyMode.FULL_BROADCAST:
-            return frozenset(population) - {receiver}
-        return self.adjacency.get(receiver, frozenset()) - {receiver}
-
     def visible(self, receiver: str, population: Iterable[str]) -> frozenset[str]:
         """Agents whose beliefs the receiver sees: in-neighbors plus itself."""
         if self.mode is TopologyMode.FULL_BROADCAST:

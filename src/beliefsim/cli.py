@@ -1,10 +1,13 @@
 """Command-line front end: validate, run, inspect, oracle.
 
 Exit codes: 0 success, 1 scenario validation failure (the message names
-the offending key) or out-of-domain request, 2 I/O failure. Flags
-override file values (flag > file > default). Data files written by `run`
-contain no timestamps; run metadata lives in a separate manifest so the
-data outputs are byte-stable across reruns.
+the offending key) or out-of-domain request, 2 I/O failure. The commands
+raise; only `main` turns a ValidationError, an OracleDomainError or an
+OSError that names a file into one `error:` line and its exit code, and
+anything else propagates. Flags override file values (flag > file >
+default). Data files written by `run` contain no timestamps; run metadata
+lives in a separate manifest so the data outputs are byte-stable across
+reruns.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable
 
 from . import __version__
 from .errors import OracleDomainError, ValidationError
@@ -27,21 +29,6 @@ from .simulator import Metrics, Scenario, run, trace_to_jsonl
 
 def _error(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
-
-
-def _load(path: str, load: Callable[[str], Any]) -> Any:
-    """Load and validate a scenario file with `load`, or return an exit code."""
-    try:
-        return load(path)
-    except FileNotFoundError:
-        _error(f"cannot read {path}: no such file")
-        return 2
-    except OSError as exc:
-        _error(f"cannot read {path}: {exc}")
-        return 2
-    except ValidationError as exc:
-        _error(str(exc))
-        return 1
 
 
 def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
@@ -71,15 +58,8 @@ def _summary(scenario: Scenario, metrics: Metrics) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    scenario = _load(args.scenario, load_scenario)
-    if isinstance(scenario, int):
-        return scenario
-    try:
-        scenario = _apply_overrides(scenario, args)
-        trace, metrics = run(scenario)
-    except ValidationError as exc:
-        _error(str(exc))
-        return 1
+    scenario = _apply_overrides(load_scenario(args.scenario), args)
+    trace, metrics = run(scenario)
 
     out_dir = Path(args.out_dir)
     manifest = {
@@ -111,14 +91,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    loaded = _load(args.scenario, load_with_lattices)
-    if isinstance(loaded, int):
-        return loaded
-    scenario, lattices = loaded
+    scenario, lattices = load_with_lattices(args.scenario)
     step = args.at_step
     if not 0 <= step < scenario.steps:
-        _error(f"--at-step {step} out of range for {scenario.steps}-step scenario")
-        return 1
+        raise ValidationError(f"--at-step {step} out of range for {scenario.steps}-step scenario")
     lattice = lattices[step]
     document = {
         "format": "lattice-inspect/1",
@@ -133,18 +109,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    scenario = _load(args.scenario, load_scenario)
-    if isinstance(scenario, int):
-        return scenario
-    try:
-        scenario = _apply_overrides(scenario, args)
-        accuracies = exact_rule_accuracy(scenario)
-    except OracleDomainError as exc:
-        _error(f"scenario outside oracle domain: {exc}")
-        return 1
-    except ValidationError as exc:
-        _error(str(exc))
-        return 1
+    scenario = _apply_overrides(load_scenario(args.scenario), args)
+    accuracies = exact_rule_accuracy(scenario)
     print(f"exact rule accuracy for {scenario.name} (enumeration over error outcomes)")
     for name, accuracy in accuracies.items():
         print(f"{name:<20} {accuracy!r}")
@@ -152,9 +118,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    scenario = _load(args.scenario, load_scenario)
-    if isinstance(scenario, int):
-        return scenario
+    scenario = load_scenario(args.scenario)
     print(
         f"OK: {scenario.name} ({len(scenario.agents)} agents, "
         f"{len(scenario.rules)} rules, {scenario.steps} steps, {scenario.trials} trials)"
@@ -199,7 +163,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OracleDomainError as exc:
+        _error(f"scenario outside oracle domain: {exc}")
+    except ValidationError as exc:
+        _error(str(exc))
+    except OSError as exc:
+        if exc.filename is None:  # not a file the command read, e.g. a closed stdout
+            raise
+        reason = "no such file" if isinstance(exc, FileNotFoundError) else exc
+        _error(f"cannot read {exc.filename}: {reason}")
+        return 2
+    return 1
 
 
 if __name__ == "__main__":

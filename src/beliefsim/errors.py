@@ -9,8 +9,8 @@ class UnknownAgentError(LookupError):
     """An agent id was referenced that is not part of the population."""
 
 
-class ConfigurationError(ValueError):
-    """A scenario component is internally inconsistent or incomplete."""
+class ConfigurationError(ValidationError):
+    """A scenario component is inconsistent or incomplete, so validation fails."""
 
 
 class OracleDomainError(ValueError):

@@ -25,11 +25,32 @@ from .rules import parse_rule
 from .simulator import DriftEvent, Scenario, validate_scenario
 
 FORMAT_VERSION = 1
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml's parser when PyYAML has it
+_MERGE = "tag:yaml.org,2002:merge"  # a '<<' key: the merged keys may be overridden
+
+
+class _UniqueKeys:
+    """Loader mixin: a key given twice in one mapping is an error, not a silent overwrite."""
+
+    def construct_mapping(self, node, deep=False):
+        explicit = [key_node for key_node, _ in node.value if key_node.tag != _MERGE]
+        mapping = super().construct_mapping(node, deep)  # merges '<<', rejects unhashable keys
+        seen = set()
+        for key_node in explicit:
+            key = self.construct_object(key_node)  # built above, so this looks it up
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    problem=f"found duplicate key {key!r}", problem_mark=key_node.start_mark
+                )
+            seen.add(key)
+        return mapping
+
+
+class _Loader(_UniqueKeys, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader on libyaml's parser when PyYAML has it, refusing duplicate keys."""
 
 
 def _fail(path: str, message: str) -> ValidationError:
-    return ValidationError(f"{path}: {message}")
+    return ValidationError(f"{path}: {message}" if path else message)
 
 
 def _check_keys(mapping: Mapping[str, Any], path: str, allowed: set[str], required: set[str]) -> None:
@@ -38,9 +59,9 @@ def _check_keys(mapping: Mapping[str, Any], path: str, allowed: set[str], requir
     for key in mapping:
         if key not in allowed:
             raise _fail(f"{path}.{key}" if path else str(key), "unknown key")
-    for key in required:
+    for key in sorted(required):  # a set's order changes with the hash seed
         if key not in mapping:
-            raise _fail(path or key, f"missing required key {key!r}")
+            raise _fail(path, f"missing required key {key!r}")
 
 
 def _as_identifier(value: Any, path: str) -> str:
@@ -300,9 +321,9 @@ def _parse(data: Any, default_name: str) -> tuple[Scenario, list[DominanceLattic
         error_model=_parse_error_model(data["error_model"]),
         topology=_parse_topology(data.get("topology")),
         rules=tuple(rules),
-        steps=_as_int(data["steps"], "steps", minimum=1),
-        trials=_as_int(data["trials"], "trials", minimum=1),
-        seed=_as_int(data["seed"], "seed"),
+        steps=data["steps"],  # validate_scenario checks these three
+        trials=data["trials"],
+        seed=data["seed"],
         drift=_parse_drift(data.get("drift")),
         name=name,
     )
@@ -316,9 +337,12 @@ def load_scenario(path: str | Path) -> Scenario:
 def load_with_lattices(path: str | Path) -> tuple[Scenario, list[DominanceLattice]]:
     """Load and validate a scenario file; also return the per-step lattices validation built."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
     try:
-        data = yaml.load(text, Loader=_LOADER)
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path.name}: not valid UTF-8 at byte {exc.start}") from None
+    try:
+        data = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ValidationError(f"{path.name}: not valid YAML: {exc}") from None
     return _parse(data, default_name=path.stem)

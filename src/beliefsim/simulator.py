@@ -105,12 +105,12 @@ def validate_scenario(scenario: Scenario) -> list[DominanceLattice]:
 
     Returns the per-step lattices it builds, so callers do not rebuild them.
     """
-    if not 0 <= scenario.seed < 2**64:
-        raise ValidationError(f"seed: must be in [0, 2**64), got {scenario.seed}")
-    if scenario.steps < 1:
-        raise ValidationError("steps must be >= 1")
-    if scenario.trials < 1:
-        raise ValidationError("trials must be >= 1")
+    for name, low in (("seed", 0), ("steps", 1), ("trials", 1)):
+        value = getattr(scenario, name)
+        if type(value) is not int or value < low:  # a bool or float seed keys draws by its text
+            raise ValidationError(f"{name}: expected an integer >= {low}, got {value!r}")
+    if scenario.seed >= 2**64:
+        raise ValidationError(f"seed: must be below 2**64, got {scenario.seed}")
     if not scenario.agents:
         raise ValidationError("scenario needs at least one agent")
     if not scenario.propositions:
@@ -668,10 +668,14 @@ def compute_metrics(trace: Trace, scenario: Scenario) -> Metrics:
     odd = [key for key in keys if not all(isinstance(part, Hashable) for part in key)]
     if odd:
         raise ValidationError(f"trace record {_named(*odd[0])} has a list or map as a key")
-    seen = set(keys)
+
+    def known(key) -> bool:  # True == 1.0 == 1, so the types are checked too
+        return type(key[0]) is int and type(key[1]) is int and key in expected
+
+    seen = set(filter(known, keys))
     if seen != expected.keys() or len(keys) != len(expected):
         missing = [_named(*key) for key in expected if key not in seen][:1]
-        unexpected = [_named(*key) for key in keys if key not in expected][:1]
+        unexpected = [_named(*key) for key in keys if not known(key)][:1]
         raise ValidationError(
             f"incomplete trace: expected {len(expected)} records "
             f"({scenario.trials} trials x {scenario.steps} steps x {len(rule_names)} rules), "

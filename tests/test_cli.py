@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from beliefsim import load_scenario, simulator
+from beliefsim import cli, load_scenario, simulator
 from beliefsim.cli import build_parser, main
 
 
@@ -207,6 +207,66 @@ class TestOracle:
         for name, target in exact.items():
             sigma = math.sqrt(target * (1 - target) / trials)
             assert abs(metrics["rules"][name]["accuracy"] - target) <= 3 * sigma
+
+
+def _scenario_file(tmp_path, data: bytes) -> str:
+    path = tmp_path / "case.scn"
+    path.write_bytes(data)
+    return str(path)
+
+
+def _expert_file(tmp_path, scenario_dir, agents: int, probabilities: int) -> str:
+    doc = yaml.safe_load((scenario_dir / "three_agent_expert.scn").read_text())
+    doc["agents"] = {f"a{i:02d}": [float(i), float(i)] for i in range(agents)}
+    doc["error_model"]["probabilities"] = {f"a{i:02d}": 0.1 for i in range(probabilities)}
+    return _scenario_file(tmp_path, yaml.safe_dump(doc).encode())
+
+
+# case: (argv from tmp_path and scenario_dir, exit code, text the error line holds)
+INPUT_FAULTS = {
+    "missing-file": (lambda t, s: ["validate", str(t / "missing.scn")], 2, "cannot read"),
+    "directory": (lambda t, s: ["validate", str(t)], 2, "cannot read"),
+    "not-utf8": (
+        lambda t, s: ["validate", _scenario_file(t, b"version: 1\nname: caf\xe9\n")],
+        1, "not valid UTF-8",
+    ),
+    "not-yaml": (
+        lambda t, s: ["validate", _scenario_file(t, b"version: [unclosed")], 1, "not valid YAML"
+    ),
+    "top-level-list": (
+        lambda t, s: ["validate", _scenario_file(t, b"- version\n- 1\n")], 1, "expected a mapping"
+    ),
+    "error-model-missing-agent": (
+        lambda t, s: ["validate", _expert_file(t, s, 3, 2)], 1, "missing from error model"
+    ),
+    "step-out-of-range": (
+        lambda t, s: ["inspect", str(s / "intersection.scn"), "--at-step", "99"], 1, "out of range"
+    ),
+    "oracle-21-agents": (
+        lambda t, s: ["oracle", _expert_file(t, s, 21, 21)], 1, "outside oracle domain"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_FAULTS)
+def test_input_fault_exits_with_one_error_line(case, tmp_path, scenario_dir, capsys):
+    argv, code, text = INPUT_FAULTS[case]
+    assert main(argv(tmp_path, scenario_dir)) == code
+    err = capsys.readouterr().err
+    error_lines = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(error_lines) == 1 and err.startswith("error: "), err
+    assert not err.startswith("error: : ")
+    assert text in error_lines[0]
+
+
+def test_os_error_naming_no_file_propagates(scenario_dir, tmp_path, monkeypatch, capsys):
+    def fail(scenario):
+        raise OSError("disk on fire")
+
+    monkeypatch.setattr(cli, "run", fail)
+    with pytest.raises(OSError, match="disk on fire"):
+        main(["run", str(scenario_dir / "intersection.scn"), "--out-dir", str(tmp_path)])
+    assert "cannot read" not in capsys.readouterr().err
 
 
 def test_python_dash_m_runs_the_cli(scenario_dir):

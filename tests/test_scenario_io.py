@@ -13,6 +13,7 @@ from beliefsim import (
     parse_scenario,
     scenario_to_dict,
 )
+from beliefsim import scenario_io
 
 from support import random_population, simple_scenario
 
@@ -190,6 +191,12 @@ class TestRejections:
         self.check(doc, "ground_truth")
 
 
+def test_first_missing_key_in_sorted_order():
+    # the same document gives the same message under every hash seed
+    with pytest.raises(ValidationError, match=r"^missing required key 'agents'$"):
+        parse_scenario({"version": 1})
+
+
 def test_not_yaml_file(tmp_path):
     path = tmp_path / "broken.scn"
     path.write_text("version: [unclosed")
@@ -223,6 +230,42 @@ def _crowd_document() -> str:
 def test_libyaml_and_python_loaders_agree(text):
     # The loader parses with libyaml when PyYAML has it, else in pure Python.
     assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+@pytest.mark.parametrize("pure_python", [False, True], ids=["libyaml", "python"])
+@pytest.mark.parametrize(
+    "edit, key, line",
+    [
+        (lambda text: text.replace("  s4: [4.0, 4.0]\n", "  s4: [4.0, 4.0]\n  s1: [5.0, 5.0]\n"),
+         "s1", 14),
+        (lambda text: text + "ground_truth:\n  pedestrian: false\n", "ground_truth", 32),
+    ],
+    ids=["agent", "ground-truth"],
+)
+def test_key_given_twice_is_rejected(
+    tmp_path, monkeypatch, scenario_dir, pure_python, edit, key, line
+):
+    if pure_python:
+        loader = type("Loader", (scenario_io._UniqueKeys, yaml.SafeLoader), {})
+        monkeypatch.setattr(scenario_io, "_Loader", loader)
+    elif not issubclass(scenario_io._Loader, getattr(yaml, "CSafeLoader", ())):
+        pytest.skip("PyYAML built without libyaml")
+    path = tmp_path / "twice.scn"
+    path.write_text(edit((scenario_dir / "intersection.scn").read_text()))
+    with pytest.raises(ValidationError) as err:
+        load_scenario(path)
+    assert str(err.value).startswith(
+        f"twice.scn: not valid YAML: found duplicate key {key!r}\n  in "
+    )
+    assert f", line {line}, column " in str(err.value)
+
+
+def test_merged_keys_may_be_overridden():
+    text = "base: &b {x: 1, y: 2}\nderived:\n  <<: *b\n  y: 3\n"
+    assert yaml.load(text, Loader=scenario_io._Loader) == {
+        "base": {"x": 1, "y": 2},
+        "derived": {"x": 1, "y": 3},
+    }
 
 
 def test_default_name_comes_from_filename(tmp_path, intersection_doc):

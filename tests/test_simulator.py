@@ -78,6 +78,15 @@ class TestRun:
         with pytest.raises(ValidationError):
             run(scenario)
 
+    @pytest.mark.parametrize(
+        "field, value", [("seed", 1.5), ("seed", True), ("trials", True), ("steps", 2.0)]
+    )
+    def test_non_integer_seed_steps_or_trials_rejected(self, field, value):
+        # a float or bool seed would key every draw by its text ("1.5", "True")
+        scenario = replace(replace(build_intersection_scenario(), trials=3), **{field: value})
+        with pytest.raises(ValidationError, match=f"^{field}: expected an integer"):
+            validate_scenario(scenario)
+
     # "\x1f" joins RandomStream keys: agent "a\x1f0" at step 1 and proposition
     # "p" would draw what agent "a" at step 0 and proposition "1\x1fp" draw.
     @pytest.mark.parametrize(
@@ -516,6 +525,29 @@ class TestTraceSerialization:
             match=r"^trace record \(trial \[0\], step 0, rule 'most-expert'\) has a list",
         ):
             compute_metrics(trace, scenario)
+
+    @pytest.mark.parametrize(
+        "line, field, value, missing, unexpected",
+        [
+            (9, "trial", True, "trial 1, step 0", "trial True, step 0"),
+            (3, "step", 1.0, "trial 0, step 1", "trial 0, step 1.0"),
+        ],
+        ids=["bool-trial", "float-step"],
+    )
+    def test_bool_or_float_key_is_unexpected(self, line, field, value, missing, unexpected):
+        # True == 1 == 1.0, so such a key must not stand in for the integer one
+        scenario = replace(build_intersection_scenario(), trials=2)
+        lines = self._two_trial_text().splitlines()
+        record = json.loads(lines[line])
+        record[field] = value
+        lines[line] = json.dumps(record)
+        trace = trace_from_jsonl("\n".join(lines))
+        with pytest.raises(ValidationError) as err:
+            compute_metrics(trace, scenario)
+        assert str(err.value).endswith(
+            f"got 18; first missing ({missing}, rule 'most-expert'); "
+            f"first unexpected ({unexpected}, rule 'most-expert')"
+        )
 
     def test_conflicting_raw_is_named(self):
         scenario = replace(build_intersection_scenario(), trials=2)
