@@ -76,12 +76,11 @@ def _as_number(value: Any, path: str) -> float:
     return float(value)
 
 
-def _as_int(value: Any, path: str, minimum: int | None = None) -> int:
+def _as_int(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise _fail(path, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise _fail(path, f"must be >= {minimum}, got {value}")
     return value
+
 
 def _as_bool(value: Any, path: str) -> bool:
     if not isinstance(value, bool):
@@ -153,7 +152,7 @@ def _parse_ground_truth(data: Any) -> dict[str, GroundTruthSchedule]:
         if isinstance(value, bool):
             schedules[prop_id] = GroundTruthSchedule.constant(prop_id, value)
             continue
-        if not isinstance(value, list) or not value:
+        if not isinstance(value, list):
             raise _fail(path, "expected a boolean or a non-empty list of {step, value}")
         entries = []
         for i, item in enumerate(value):
@@ -161,7 +160,7 @@ def _parse_ground_truth(data: Any) -> dict[str, GroundTruthSchedule]:
             _check_keys(item, entry_path, {"step", "value"}, {"step", "value"})
             entries.append(
                 (
-                    _as_int(item["step"], f"{entry_path}.step", minimum=0),
+                    _as_int(item["step"], f"{entry_path}.step"),
                     _as_bool(item["value"], f"{entry_path}.value"),
                 )
             )
@@ -173,16 +172,11 @@ def _parse_ground_truth(data: Any) -> dict[str, GroundTruthSchedule]:
 
 
 def _parse_error_model(data: Any) -> ErrorModel:
-    _check_keys(
-        data, "error_model", {"kind", "probabilities", "p_min", "p_max"}, {"kind"}
-    )
+    _check_keys(data, "error_model", {"kind", "probabilities", "p_min", "p_max"}, {"kind"})
     kind = data["kind"]
     if kind == "per_agent_fixed":
-        if "probabilities" not in data:
-            raise _fail("error_model", "per_agent_fixed requires probabilities")
-        for key in ("p_min", "p_max"):
-            if key in data:
-                raise _fail(f"error_model.{key}", "not valid for per_agent_fixed")
+        keys = {"kind", "probabilities"}
+        _check_keys(data, "error_model", keys, keys)
         probs = data["probabilities"]
         if not isinstance(probs, dict):
             raise _fail("error_model.probabilities", "expected a mapping")
@@ -195,11 +189,8 @@ def _parse_error_model(data: Any) -> ErrorModel:
         except ValidationError as exc:
             raise _fail("error_model.probabilities", str(exc)) from None
     if kind == "quality_mapped":
-        if "probabilities" in data:
-            raise _fail("error_model.probabilities", "not valid for quality_mapped")
-        for key in ("p_min", "p_max"):
-            if key not in data:
-                raise _fail("error_model", f"quality_mapped requires {key}")
+        keys = {"kind", "p_min", "p_max"}
+        _check_keys(data, "error_model", keys, keys)
         try:
             return ErrorModel.quality_mapped(
                 _as_number(data["p_min"], "error_model.p_min"),
@@ -216,8 +207,7 @@ def _parse_topology(data: Any) -> Topology:
     _check_keys(data, "topology", {"mode", "adjacency"}, {"mode"})
     mode = data["mode"]
     if mode == "full_broadcast":
-        if "adjacency" in data:
-            raise _fail("topology.adjacency", "not valid for full_broadcast")
+        _check_keys(data, "topology", {"mode"}, {"mode"})
         return Topology.full_broadcast()
     if mode == "graph":
         adjacency = data.get("adjacency", {})
@@ -244,14 +234,13 @@ def _parse_drift(data: Any) -> tuple[DriftEvent, ...]:
         _check_keys(entry, path, {"agent", "feature", "step", "delta", "value"}, {"agent", "feature", "step"})
         agent = _as_identifier(entry["agent"], f"{path}.agent")
         feature = _as_identifier(entry["feature"], f"{path}.feature")
-        step = _as_int(entry["step"], f"{path}.step", minimum=0)
-        has_delta = "delta" in entry
-        has_value = "value" in entry
-        if has_delta == has_value:
-            raise _fail(path, "needs exactly one of delta or value")
-        delta = _as_number(entry["delta"], f"{path}.delta") if has_delta else None
-        value = _as_number(entry["value"], f"{path}.value") if has_value else None
-        events.append(DriftEvent(agent, feature, step, delta=delta, value=value))
+        step = _as_int(entry["step"], f"{path}.step")
+        delta = _as_number(entry["delta"], f"{path}.delta") if "delta" in entry else None
+        value = _as_number(entry["value"], f"{path}.value") if "value" in entry else None
+        try:
+            events.append(DriftEvent(agent, feature, step, delta=delta, value=value))
+        except ValidationError as exc:
+            raise _fail(path, str(exc)) from None
     return tuple(events)
 
 
@@ -270,18 +259,7 @@ _TOP_KEYS = {
     "trials",
     "seed",
 }
-_TOP_REQUIRED = {
-    "version",
-    "schema",
-    "agents",
-    "propositions",
-    "ground_truth",
-    "error_model",
-    "rules",
-    "steps",
-    "trials",
-    "seed",
-}
+_TOP_REQUIRED = _TOP_KEYS - {"name", "topology", "drift"}
 
 
 def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
@@ -345,6 +323,8 @@ def load_with_lattices(path: str | Path) -> tuple[Scenario, list[DominanceLattic
         data = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ValidationError(f"{path.name}: not valid YAML: {exc}") from None
+    if data is None:  # an empty or comment-only file, or a bare null
+        raise ValidationError(f"{path.name}: empty document, expected a scenario mapping")
     return _parse(data, default_name=path.stem)
 
 

@@ -133,6 +133,9 @@ def validate_scenario(scenario: Scenario) -> list[DominanceLattice]:
                     f"ground truth for {prop.id!r} has entry at step {step}, "
                     f"but scenario runs {scenario.steps} steps"
                 )
+    stray = sorted(set(scenario.ground_truth) - set(prop_ids), key=str)  # YAML keys may be ints
+    if stray:
+        raise ValidationError(f"ground_truth.{stray[0]}: not a declared proposition")
     rule_names = [rule.name for rule in scenario.rules]
     if not rule_names:
         raise ValidationError("scenario needs at least one rule")
@@ -140,6 +143,9 @@ def validate_scenario(scenario: Scenario) -> list[DominanceLattice]:
         raise ValidationError(f"duplicate rules: {rule_names}")
 
     agent_ids = {agent_id for agent_id, _ in scenario.agents}
+    stray = sorted(set(scenario.error_model.probabilities or ()) - agent_ids, key=str)
+    if stray:
+        raise ValidationError(f"error_model.probabilities.{stray[0]}: not an agent of the scenario")
     scenario.topology.validate_against(agent_ids)
     feature_names = set(scenario.schema.names)
     for i, event in enumerate(scenario.drift):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from beliefsim import cli, load_scenario, simulator
+from beliefsim import cli, load_scenario, parse_scenario, simulator
 from beliefsim.cli import build_parser, main
 
 
@@ -222,6 +222,11 @@ def _expert_file(tmp_path, scenario_dir, agents: int, probabilities: int) -> str
     return _scenario_file(tmp_path, yaml.safe_dump(doc).encode())
 
 
+def _intersection_file(tmp_path, scenario_dir, **changes) -> str:
+    doc = yaml.safe_load((scenario_dir / "intersection.scn").read_text())
+    return _scenario_file(tmp_path, yaml.safe_dump({**doc, **changes}).encode())
+
+
 # case: (argv from tmp_path and scenario_dir, exit code, text the error line holds)
 INPUT_FAULTS = {
     "missing-file": (lambda t, s: ["validate", str(t / "missing.scn")], 2, "cannot read"),
@@ -235,6 +240,19 @@ INPUT_FAULTS = {
     ),
     "top-level-list": (
         lambda t, s: ["validate", _scenario_file(t, b"- version\n- 1\n")], 1, "expected a mapping"
+    ),
+    "empty-file": (
+        lambda t, s: ["validate", _scenario_file(t, b"# nothing here\n")], 1, "empty document"
+    ),
+    "undeclared-truth": (
+        lambda t, s: [
+            "validate", _intersection_file(t, s, ground_truth={"pedestrian": True, "ghost": False})
+        ],
+        1, "ground_truth.ghost: not a declared proposition",
+    ),
+    "error-model-unknown-agent": (
+        lambda t, s: ["validate", _expert_file(t, s, 3, 4)],
+        1, "error_model.probabilities.a03: not an agent of the scenario",
     ),
     "error-model-missing-agent": (
         lambda t, s: ["validate", _expert_file(t, s, 3, 2)], 1, "missing from error model"
@@ -300,3 +318,10 @@ def test_readme_commands_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: beliefsim {shlex.join(argv)}")
+
+
+def test_readme_scenario_example_is_valid():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Scenario files", 1)[1]
+    block = re.search(r"^```yaml\n(.*?)^```", section, re.M | re.S).group(1)
+    parse_scenario(yaml.safe_load(block))

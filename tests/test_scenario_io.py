@@ -191,6 +191,40 @@ class TestRejections:
         self.check(doc, "ground_truth")
 
 
+FIXED = {"kind": "per_agent_fixed", "probabilities": {"s1": 0.1, "s2": 0.2, "s3": 0.2, "s4": 0.3}}
+DRIFT = {"agent": "s1", "feature": "distance", "step": 0}
+
+
+# case: (top-level keys replaced in the intersection document, key path the message starts with)
+@pytest.mark.parametrize(
+    "changes, path",
+    [
+        ({"error_model": {**FIXED, "p_min": 0.1}}, "error_model.p_min"),
+        ({"error_model": {"kind": "per_agent_fixed"}}, "error_model"),
+        ({"error_model": {"kind": "quality_mapped", "p_min": 0.05}}, "error_model"),
+        ({"topology": {"mode": "full_broadcast", "adjacency": {}}}, "topology.adjacency"),
+        ({"drift": [{**DRIFT, "delta": 1.0, "value": 2.0}]}, "drift[0]"),
+        ({"drift": [{**DRIFT, "step": -1, "delta": 1.0}]}, "drift[0]"),
+        ({"ground_truth": {"pedestrian": [{"step": -1, "value": True}]}}, "ground_truth.pedestrian"),
+        ({"ground_truth": {"pedestrian": []}}, "ground_truth.pedestrian"),
+        ({"ground_truth": {"pedestrian": True, "ghost": False}}, "ground_truth.ghost"),
+        (
+            {"error_model": {**FIXED, "probabilities": {**FIXED["probabilities"], "zz": 0.9}}},
+            "error_model.probabilities.zz",
+        ),
+    ],
+    ids=[
+        "fixed-with-p_min", "fixed-without-probabilities", "quality-without-p_max",
+        "broadcast-with-adjacency", "drift-delta-and-value", "drift-step-negative",
+        "truth-from-negative-step", "truth-empty-list", "truth-undeclared", "probability-unknown-agent",
+    ],
+)
+def test_rejection_names_key_path(intersection_doc, changes, path):
+    with pytest.raises(ValidationError) as err:
+        parse_scenario({**intersection_doc, **changes})
+    assert str(err.value).startswith(path), str(err.value)
+
+
 def test_first_missing_key_in_sorted_order():
     # the same document gives the same message under every hash seed
     with pytest.raises(ValidationError, match=r"^missing required key 'agents'$"):

@@ -87,6 +87,20 @@ class TestRun:
         with pytest.raises(ValidationError, match=f"^{field}: expected an integer"):
             validate_scenario(scenario)
 
+    def test_ground_truth_for_undeclared_proposition_rejected(self):
+        base = build_intersection_scenario()
+        extra = {key: GroundTruthSchedule.constant(key, False) for key in ("ghost", 7)}
+        with pytest.raises(ValidationError, match=r"^ground_truth\.7: not a declared proposition$"):
+            validate_scenario(replace(base, ground_truth={**base.ground_truth, **extra}))
+
+    def test_probability_for_unknown_agent_rejected(self):
+        probabilities = {"s1": 0.1, "s2": 0.2, "s3": 0.2, "s4": 0.3, "zz": 0.9, "yy": 0.5}
+        scenario = replace(build_intersection_scenario(), error_model=ErrorModel.fixed(probabilities))
+        with pytest.raises(
+            ValidationError, match=r"^error_model\.probabilities\.yy: not an agent of the scenario$"
+        ):
+            validate_scenario(scenario)
+
     # "\x1f" joins RandomStream keys: agent "a\x1f0" at step 1 and proposition
     # "p" would draw what agent "a" at step 0 and proposition "1\x1fp" draw.
     @pytest.mark.parametrize(
