@@ -140,12 +140,10 @@ class Topology:
         known = set(population)
         for receiver, sources in self.adjacency.items():
             if receiver not in known:
-                raise ValidationError(f"topology references unknown agent {receiver!r}")
-            for source in sources:
-                if source not in known:
-                    raise ValidationError(
-                        f"topology: agent {receiver!r} lists unknown source {source!r}"
-                    )
+                raise ValidationError(f"topology.adjacency.{receiver}: unknown agent")
+            unknown = sorted(sources - known, key=str)  # set order varies with the hash seed
+            if unknown:
+                raise ValidationError(f"topology.adjacency.{receiver}: unknown source {unknown[0]!r}")
 
     def visible(self, receiver: str, population: Iterable[str]) -> frozenset[str]:
         """Agents whose beliefs the receiver sees: in-neighbors plus itself."""
@@ -186,6 +184,8 @@ class ErrorModel:
                         f"error probability for {agent_id!r} must be in [0, 1], got {p}"
                     )
         else:
+            if self.probabilities is not None:
+                raise ValidationError("quality-mapped error model takes no probabilities")
             if not (0.0 <= self.p_min <= 1.0 and 0.0 <= self.p_max <= 1.0):
                 raise ValidationError("p_min and p_max must be in [0, 1]")
             if self.p_min > self.p_max:

@@ -5,9 +5,9 @@ the offending key) or out-of-domain request, 2 I/O failure. The commands
 raise; only `main` turns a ValidationError, an OracleDomainError or an
 OSError that names a file into one `error:` line and its exit code, and
 anything else propagates. Flags override file values (flag > file >
-default). Data files written by `run` contain no timestamps; run metadata
-lives in a separate manifest so the data outputs are byte-stable across
-reruns.
+default), and each command validates its scenario once, after the flags.
+Data files written by `run` contain no timestamps; run metadata lives in
+a separate manifest so the data outputs are byte-stable across reruns.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from . import __version__
 from .errors import OracleDomainError, ValidationError
 from .oracle import exact_rule_accuracy
 from .rules import parse_rule
-from .scenario_io import load_scenario, load_with_lattices
-from .simulator import Metrics, Scenario, run, trace_to_jsonl
+from .scenario_io import load_scenario, read_scenario
+from .simulator import Metrics, Scenario, run, trace_to_jsonl, validate_scenario
 
 
 def _error(message: str) -> None:
@@ -58,7 +58,7 @@ def _summary(scenario: Scenario, metrics: Metrics) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
+    scenario = _apply_overrides(read_scenario(args.scenario), args)
     trace, metrics = run(scenario)
 
     out_dir = Path(args.out_dir)
@@ -91,7 +91,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    scenario, lattices = load_with_lattices(args.scenario)
+    scenario = read_scenario(args.scenario)
+    lattices = validate_scenario(scenario)
     step = args.at_step
     if not 0 <= step < scenario.steps:
         raise ValidationError(f"--at-step {step} out of range for {scenario.steps}-step scenario")
@@ -109,7 +110,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
+    scenario = _apply_overrides(read_scenario(args.scenario), args)
     accuracies = exact_rule_accuracy(scenario)
     print(f"exact rule accuracy for {scenario.name} (enumeration over error outcomes)")
     for name, accuracy in accuracies.items():

@@ -20,7 +20,6 @@ import yaml
 from .beliefs import IDENTIFIER, ErrorModel, GroundTruthSchedule, Proposition, Topology, TopologyMode
 from .errors import ValidationError
 from .features import Direction, Feature, FeatureSchema, FeatureVector
-from .lattice import DominanceLattice
 from .rules import parse_rule
 from .simulator import DriftEvent, Scenario, validate_scenario
 
@@ -262,13 +261,15 @@ _TOP_KEYS = {
 _TOP_REQUIRED = _TOP_KEYS - {"name", "topology", "drift"}
 
 
-def parse_scenario(data: Any, default_name: str = "scenario") -> Scenario:
+def parse_scenario(data: Any) -> Scenario:
     """Validate a parsed document and build a Scenario; raises ValidationError."""
-    return _parse(data, default_name)[0]
+    scenario = _parse(data, "scenario")
+    validate_scenario(scenario)
+    return scenario
 
 
-def _parse(data: Any, default_name: str) -> tuple[Scenario, list[DominanceLattice]]:
-    """parse_scenario's Scenario and the per-step lattices its validation built."""
+def _parse(data: Any, default_name: str) -> Scenario:
+    """parse_scenario's Scenario, before the cross-field checks of validate_scenario."""
     _check_keys(data, "", _TOP_KEYS, _TOP_REQUIRED)
     version = _as_int(data["version"], "version")
     if version != FORMAT_VERSION:
@@ -291,7 +292,7 @@ def _parse(data: Any, default_name: str) -> tuple[Scenario, list[DominanceLattic
         except ValidationError as exc:
             raise _fail(f"rules[{i}]", str(exc)) from None
 
-    scenario = Scenario(
+    return Scenario(
         schema=schema,
         agents=agents,
         propositions=_parse_propositions(data["propositions"]),
@@ -305,15 +306,16 @@ def _parse(data: Any, default_name: str) -> tuple[Scenario, list[DominanceLattic
         drift=_parse_drift(data.get("drift")),
         name=name,
     )
-    return scenario, validate_scenario(scenario)
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    return load_with_lattices(path)[0]
+    scenario = read_scenario(path)
+    validate_scenario(scenario)
+    return scenario
 
 
-def load_with_lattices(path: str | Path) -> tuple[Scenario, list[DominanceLattice]]:
-    """Load and validate a scenario file; also return the per-step lattices validation built."""
+def read_scenario(path: str | Path) -> Scenario:
+    """load_scenario without validate_scenario, for callers that validate after overrides."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")

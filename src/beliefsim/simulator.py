@@ -17,8 +17,8 @@ A run goes in four parts:
   The lattice computes one frontier per distinct visible set, each
   distinct voter set is sorted and rendered as JSON once, and each
   (step, rule) renders one receiver map that every proposition shares.
-  Validation builds the lattices; the CLI validates again after its
-  flag overrides, which rebuilds them (a few ms at 200 agents).
+  Validation builds the lattices once per command: the CLI applies its
+  flag overrides before the one validation.
 - **Rows.** A trial draws every belief through :class:`RandomStream` and
   votes every rule over the compiled voters with the shared ``_vote``.
   It keeps only bools: per step, the raw beliefs per proposition and,
@@ -59,7 +59,7 @@ from .beliefs import (
     Topology,
     observe,  # not called here; bench/tracer.py looks up simulator.observe
 )
-from .errors import ValidationError
+from .errors import ConfigurationError, ValidationError
 from .features import Direction, Feature, FeatureSchema, FeatureVector
 from .lattice import DominanceLattice, build
 from .rules import MAJORITY, MOST_EXPERT, Rule, RuleKind, _vote, apply_rule
@@ -143,9 +143,15 @@ def validate_scenario(scenario: Scenario) -> list[DominanceLattice]:
         raise ValidationError(f"duplicate rules: {rule_names}")
 
     agent_ids = {agent_id for agent_id, _ in scenario.agents}
-    stray = sorted(set(scenario.error_model.probabilities or ()) - agent_ids, key=str)
+    fixed = scenario.error_model.probabilities
+    stray = sorted(set(fixed or ()) - agent_ids, key=str)
     if stray:
         raise ValidationError(f"error_model.probabilities.{stray[0]}: not an agent of the scenario")
+    missing = sorted(agent_ids - set(fixed)) if fixed is not None else []
+    if missing:
+        raise ConfigurationError(
+            f"error_model.probabilities: agent {missing[0]!r} missing from error model"
+        )
     scenario.topology.validate_against(agent_ids)
     feature_names = set(scenario.schema.names)
     for i, event in enumerate(scenario.drift):
@@ -159,12 +165,8 @@ def validate_scenario(scenario: Scenario) -> list[DominanceLattice]:
                 f"{where}: step {event.step} out of range for {scenario.steps}-step scenario"
             )
     # Builds every per-step lattice: catches duplicate ids, dimension
-    # mismatches, error-model gaps, and non-finite drifted values now.
-    lattices = lattices_by_step(scenario)
-    for lattice in lattices:
-        for agent_id in lattice.real_ids:
-            scenario.error_model.probability_for(agent_id, lattice)
-    return lattices
+    # mismatches and non-finite drifted values now.
+    return lattices_by_step(scenario)
 
 
 def lattices_by_step(scenario: Scenario) -> list[DominanceLattice]:
@@ -176,24 +178,24 @@ def lattices_by_step(scenario: Scenario) -> list[DominanceLattice]:
     lattice = build(scenario.schema, scenario.agents)
     vectors = dict(scenario.agents)
     result: list[DominanceLattice] = []
-    events_by_step: dict[int, list[DriftEvent]] = {}
-    for event in scenario.drift:
-        events_by_step.setdefault(event.step, []).append(event)
+    events_by_step: dict[int, list[tuple[int, DriftEvent]]] = {}
+    for i, event in enumerate(scenario.drift):
+        events_by_step.setdefault(event.step, []).append((i, event))
     for step in range(scenario.steps):
-        changed: dict[str, list[float]] = {}
-        for event in events_by_step.get(step, ()):
-            values = changed.setdefault(event.agent, list(vectors[event.agent].values))
+        changed: dict[str, tuple[int, list[float]]] = {}  # agent -> (its first event, values)
+        for i, event in events_by_step.get(step, ()):
+            _, values = changed.setdefault(event.agent, (i, list(vectors[event.agent].values)))
             idx = scenario.schema.index_of(event.feature)
             if event.value is not None:
                 values[idx] = event.value
             else:
                 values[idx] = values[idx] + (event.delta or 0.0)
-        for agent_id, values in changed.items():
+        for agent_id, (first, values) in changed.items():
             try:
                 vectors[agent_id] = FeatureVector(tuple(values))
             except ValidationError as exc:
                 raise ValidationError(
-                    f"drift drives agent {agent_id!r} non-finite at step {step}: {exc}"
+                    f"drift[{first}]: drift drives agent {agent_id!r} non-finite at step {step}: {exc}"
                 ) from exc
         if changed:
             lattice = build(scenario.schema, tuple(vectors.items()))

@@ -9,6 +9,7 @@ from beliefsim import (
     ConfigurationError,
     Direction,
     ErrorModel,
+    ErrorModelKind,
     FeatureVector,
     GroundTruthSchedule,
     RandomStream,
@@ -125,6 +126,13 @@ class TestErrorModels:
             ErrorModel.quality_mapped(-0.1, 0.5)
         with pytest.raises(ValidationError):
             ErrorModel.quality_mapped(0.6, 0.5)
+
+    def test_quality_mapped_takes_no_probabilities(self):
+        # scenario_to_dict would save this model as per_agent_fixed
+        with pytest.raises(ValidationError, match="takes no probabilities"):
+            ErrorModel(
+                ErrorModelKind.QUALITY_MAPPED, probabilities={"s1": 0.9}, p_min=0.05, p_max=0.35
+            )
 
     def test_quality_mapped_uses_dominance_rank(self):
         schema = make_schema((S, S))

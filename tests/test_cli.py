@@ -209,6 +209,35 @@ class TestOracle:
             assert abs(metrics["rules"][name]["accuracy"] - target) <= 3 * sigma
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "drifting_expert.scn"],
+        ["inspect", "drifting_expert.scn", "--at-step", "4"],
+        ["run", "drifting_expert.scn", "--trials", "2"],
+        ["oracle", "three_agent_expert.scn"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_one_validation_per_command(argv, scenario_dir, tmp_path, monkeypatch, capsys):
+    # flags are applied before the one validation, so each step lattice is built once
+    command, name, *flags = argv
+    path = scenario_dir / name
+    distinct = {lattice.digest() for lattice in simulator.lattices_by_step(load_scenario(path))}
+    sequences, builds = [], []
+    real_sequence, real_build = simulator.lattices_by_step, simulator.build
+    monkeypatch.setattr(
+        simulator, "lattices_by_step", lambda s: sequences.append(s) or real_sequence(s)
+    )
+    monkeypatch.setattr(
+        simulator, "build", lambda *args: builds.append(args) or real_build(*args)
+    )
+    out = ["--out-dir", str(tmp_path)] if command == "run" else []
+    assert main([command, str(path), *flags, *out]) == 0
+    assert len(sequences) == 1
+    assert len(builds) == len(distinct)
+
+
 def _scenario_file(tmp_path, data: bytes) -> str:
     path = tmp_path / "case.scn"
     path.write_bytes(data)

@@ -212,11 +212,24 @@ DRIFT = {"agent": "s1", "feature": "distance", "step": 0}
             {"error_model": {**FIXED, "probabilities": {**FIXED["probabilities"], "zz": 0.9}}},
             "error_model.probabilities.zz",
         ),
+        (
+            {"topology": {"mode": "graph", "adjacency": {"ghost": ["s1"]}}},
+            "topology.adjacency.ghost: unknown agent",
+        ),
+        (
+            {"topology": {"mode": "graph", "adjacency": {"s1": ["zz", "ghost"]}}},
+            "topology.adjacency.s1: unknown source 'ghost'",
+        ),
+        (
+            {"drift": [{**DRIFT, "delta": 1.0}, {**DRIFT, "agent": "s2", "delta": float("inf")}]},
+            "drift[1]",
+        ),
     ],
     ids=[
         "fixed-with-p_min", "fixed-without-probabilities", "quality-without-p_max",
         "broadcast-with-adjacency", "drift-delta-and-value", "drift-step-negative",
         "truth-from-negative-step", "truth-empty-list", "truth-undeclared", "probability-unknown-agent",
+        "topology-unknown-receiver", "topology-unknown-source", "drift-non-finite",
     ],
 )
 def test_rejection_names_key_path(intersection_doc, changes, path):
