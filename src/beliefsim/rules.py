@@ -4,13 +4,14 @@ Every rule works the same way underneath: it picks a set of voters (the
 contributors) from the dominance lattice, the sharing topology and the
 receiver, then takes a majority vote over the voters' beliefs. The voter
 set never depends on beliefs, so the simulator compiles it once per
-(step, rule) from :func:`apply_rule` and votes every trial over it with
-the same :func:`_vote`. The lattice memoises frontiers by member set, so
-receivers with the same visible set share one: under full broadcast,
-most-expert computes one frontier per step, not one per receiver.
+(step, rule) from :func:`apply_rule`, keeps it as a bit mask and counts
+each trial's true votes by popcount. The lattice memoises frontiers by
+member set, so receivers with the same visible set share one: under full
+broadcast, most-expert computes one frontier per step, not one per receiver.
 
-Tie policy, shared by all rules: on an exact vote tie the receiver
-retains its own prior belief and the outcome is flagged tie_broken.
+Tie policy, shared by all rules and the simulator and stated once, in
+:func:`_majority`: on an exact vote tie the receiver retains its own prior
+belief and the outcome is flagged tie_broken.
 """
 
 from __future__ import annotations
@@ -77,12 +78,16 @@ class ReceiverOutcome(NamedTuple):
     tie_broken: bool
 
 
-def _vote(voters: Collection[str], value_of: Callable[[str], bool], own: bool) -> tuple[bool, bool]:
-    """(value, tie_broken) of the voters' majority; an exact tie falls back to `own`."""
-    twice_ayes = 2 * sum(map(value_of, voters))
-    if twice_ayes == len(voters):
+def _majority(ayes: int, voters: int, own: bool) -> tuple[bool, bool]:
+    """(value, tie_broken) of `ayes` true votes among `voters`; a tie falls back to `own`."""
+    if 2 * ayes == voters:
         return own, True
-    return twice_ayes > len(voters), False
+    return 2 * ayes > voters, False
+
+
+def _vote(voters: Collection[str], value_of: Callable[[str], bool], own: bool) -> tuple[bool, bool]:
+    """(value, tie_broken) of the voters' majority, by :func:`_majority`."""
+    return _majority(sum(map(value_of, voters)), len(voters), own)
 
 
 def apply_most_expert(

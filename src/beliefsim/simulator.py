@@ -11,22 +11,24 @@ A run goes in four parts:
 
 - **Plan.** Before the first trial, each step is compiled once: the
   agents in lattice order, each agent's error probability, the truth of
-  each proposition, each rule's voters as index tuples (read from
-  :func:`apply_rule`, since voters depend only on the step's lattice, the
-  topology and the receiver) and the trace text that no trial changes.
-  The lattice computes one frontier per distinct visible set, each
-  distinct voter set is sorted and rendered as JSON once, and each
-  (step, rule) renders one receiver map that every proposition shares.
-  Validation builds the lattices once per command: the CLI applies its
-  flag overrides before the one validation.
+  each proposition, each rule's voters (read from :func:`apply_rule`,
+  since voters depend only on the step's lattice, the topology and the
+  receiver) and the trace text that no trial changes. The lattice
+  computes one frontier per distinct visible set. Each rule keeps each
+  distinct voter set once, as an int mask whose bit i is the step's
+  agent i, and each receiver the index of its mask; each voter set is
+  rendered as JSON once, and each (step, rule) renders one receiver map
+  that every proposition shares. Validation builds the lattices once per
+  command: the CLI applies its flag overrides before the one validation.
 - **Rows.** A trial draws every belief through :class:`RandomStream` and
-  votes every rule over the compiled voters with the shared ``_vote``.
-  It keeps only bools: per step, the raw beliefs per proposition and,
-  per rule, the propagated and tie-broken values.
-- **Tally.** :func:`run` counts metrics from the rows as trials finish.
-  :func:`compute_metrics` groups a trace's records into the same rows
-  and feeds the same tally, so there is one counting path; its counts
-  are integers, so both give byte-equal metrics.
+  keeps only bools: per step, the raw beliefs per proposition and, per
+  rule, the propagated and tie-broken values. Each step memoises the
+  rules' outcomes by the whole raw row. A new row costs one popcount per
+  distinct mask and proposition, then ``rules._majority`` per receiver.
+- **Tally.** :func:`run` counts each step's raw rows as trials finish and
+  tallies them with their memoised outcomes. :func:`compute_metrics`
+  groups a trace's records into the same rows and feeds the same tally;
+  its counts are integers, so both give byte-equal metrics.
 - **Lazy records.** The trace that :func:`run` returns keeps the rows.
   Its ``records`` build a TraceRecord only when indexed or iterated, and
   :func:`trace_to_jsonl` renders its lines straight from the rows, byte
@@ -62,7 +64,7 @@ from .beliefs import (
 from .errors import ConfigurationError, ValidationError
 from .features import Direction, Feature, FeatureSchema, FeatureVector
 from .lattice import DominanceLattice, build
-from .rules import MAJORITY, MOST_EXPERT, Rule, RuleKind, _vote, apply_rule
+from .rules import MAJORITY, MOST_EXPERT, Rule, RuleKind, _majority, apply_rule
 
 _Z95 = 1.96
 
@@ -272,13 +274,11 @@ class _RulePlan(NamedTuple):
     """One rule at one step: its voters and the trace text they fix."""
 
     name: str
-    voters: tuple[tuple[int, ...], ...]  # per receiver, indices into the step's agents
-    contributors: Mapping[str, tuple[str, ...]]  # the same voters by id
+    masks: tuple[int, ...]  # each distinct voter set; bit i is the step's agent i
+    which: tuple[int, ...]  # per receiver, the index of its voter set in masks
+    contributors: Mapping[str, tuple[str, ...]]  # each receiver's voters by id
     head: str  # record text from ',"step":' up to the raw map
     contributors_text: str  # ',"contributors":{...}'
-    # One proposition's raw row -> its (propagated, tie_broken) rows. Votes
-    # depend on nothing else, and small groups repeat rows across trials.
-    votes: dict[tuple[bool, ...], tuple[tuple[bool, ...], tuple[bool, ...]]]
 
 
 class _StepPlan(NamedTuple):
@@ -290,6 +290,9 @@ class _StepPlan(NamedTuple):
     truth: tuple[bool, ...]  # per proposition
     rules: tuple[_RulePlan, ...]
     agents_template: str
+    # Raw rows -> each rule's (propagated, tie_broken) rows. Votes depend on
+    # nothing else, and small groups repeat raw rows across trials.
+    outcomes: dict[tuple[tuple[bool, ...], ...], tuple[tuple[tuple, tuple], ...]]
 
 
 class _Plan(NamedTuple):
@@ -538,7 +541,7 @@ def _compile(scenario: Scenario, lattices: Sequence[DominanceLattice]) -> _Plan:
     props_template = _template(props)
     # Receivers often share a voter set (under full broadcast, every receiver
     # of majority or most-expert does), so each distinct one is kept, and
-    # converted to indices and to JSON text, once.
+    # converted to a mask and to JSON text, once.
     shared: dict[tuple[str, ...], tuple[str, ...]] = {}
     as_text: dict[tuple[str, ...], str] = {}
     steps = []
@@ -546,7 +549,7 @@ def _compile(scenario: Scenario, lattices: Sequence[DominanceLattice]) -> _Plan:
         agents = lattice.real_ids
         agents_template = _template(agents)
         index = {agent_id: i for i, agent_id in enumerate(agents)}
-        as_indices: dict[tuple[str, ...], tuple[int, ...]] = {}
+        as_mask: dict[tuple[str, ...], int] = {}
         digest = lattice.digest()
         rules = []
         for rule in scenario.rules:
@@ -554,21 +557,23 @@ def _compile(scenario: Scenario, lattices: Sequence[DominanceLattice]) -> _Plan:
                 a: shared.setdefault(v, v)
                 for a, v in compile_voters(rule, lattice, scenario.topology, step).items()
             }
-            for v in voters.values():
-                if v not in as_indices:
-                    as_indices[v] = tuple(index[voter] for voter in v)
+            slots: dict[tuple[str, ...], int] = {}  # this rule's distinct voter sets, numbered
+            which = tuple(slots.setdefault(voters[a], len(slots)) for a in agents)
+            for v in slots:
+                if v not in as_mask:
+                    as_mask[v] = sum(1 << index[voter] for voter in v)
                 if v not in as_text:
                     as_text[v] = json.dumps(v, separators=(",", ":"))
             by_receiver = agents_template % tuple(as_text[voters[a]] for a in agents)
             rules.append(
                 _RulePlan(
                     rule.name,
-                    tuple(as_indices[voters[a]] for a in agents),
+                    tuple(as_mask[v] for v in slots),
+                    which,
                     voters,
                     f',"step":{step},"rule":{json.dumps(rule.name)},'
                     f'"lattice_digest":{json.dumps(digest)},"raw":',
                     ',"contributors":' + props_template % ((by_receiver,) * len(props)),
-                    {},
                 )
             )
         steps.append(
@@ -579,21 +584,28 @@ def _compile(scenario: Scenario, lattices: Sequence[DominanceLattice]) -> _Plan:
                 tuple(scenario.ground_truth[p].value_at(step) for p in props),
                 tuple(rules),
                 agents_template,
+                {},
             )
         )
     return _Plan(scenario.seed, props, props_template, tuple(steps))
 
 
-def _propagate(rule: _RulePlan, raw) -> tuple[tuple, tuple]:
-    """One rule's (propagated, tie_broken) rows over a step's raw rows."""
+def _vote_rows(step: _StepPlan, raw) -> tuple[tuple[tuple, tuple], ...]:
+    """Each rule's (propagated, tie_broken) rows over a step's raw rows.
+
+    Per proposition: one popcount of the true beliefs per distinct voter
+    mask, then :func:`_majority` per receiver on its mask's count.
+    """
+    ayes = [sum(1 << i for i, value in enumerate(values) if value) for values in raw]
     outcomes = []
-    for values in raw:
-        outcome = rule.votes.get(values)
-        if outcome is None:
-            votes = [_vote(v, values.__getitem__, values[r]) for r, v in enumerate(rule.voters)]
-            outcome = rule.votes[values] = tuple(zip(*votes))
-        outcomes.append(outcome)
-    return tuple(o[0] for o in outcomes), tuple(o[1] for o in outcomes)
+    for rule in step.rules:
+        rows = []
+        for values, yes in zip(raw, ayes):
+            counts = [((yes & mask).bit_count(), mask.bit_count()) for mask in rule.masks]
+            votes = [_majority(*counts[w], own) for w, own in zip(rule.which, values)]
+            rows.append(tuple(zip(*votes)))  # (propagated, tie_broken)
+        outcomes.append(tuple(zip(*rows)))
+    return tuple(outcomes)
 
 
 def _run_trial(plan: _Plan, trial: int) -> tuple[_StepRow, ...]:
@@ -607,7 +619,10 @@ def _run_trial(plan: _Plan, trial: int) -> tuple[_StepRow, ...]:
             )
             for prop, truth in zip(plan.propositions, step_plan.truth)
         )
-        rows.append((raw, tuple(_propagate(rule, raw) for rule in step_plan.rules)))
+        outcomes = step_plan.outcomes.get(raw)
+        if outcomes is None:
+            outcomes = step_plan.outcomes[raw] = _vote_rows(step_plan, raw)
+        rows.append((raw, outcomes))
     return tuple(rows)
 
 
@@ -615,16 +630,18 @@ def run(scenario: Scenario) -> tuple[Trace, Metrics]:
     """Execute every trial in order and aggregate metrics.
 
     Metrics come from the same tally of the trials' rows that
-    :func:`compute_metrics` feeds from a trace's records.
+    :func:`compute_metrics` feeds from a trace's records. Trials are counted
+    by (step, raw); the step's memo gives each point's outcomes at the end.
     """
     plan = _compile(scenario, validate_scenario(scenario))
-    points: Counter = Counter()
+    seen: Counter = Counter()
     rows = []
     for trial in range(scenario.trials):
         row = _run_trial(plan, trial)
-        for step, (raw, outcomes) in enumerate(row):
-            points[step, raw, outcomes] += 1
+        for step, (raw, _) in enumerate(row):
+            seen[step, raw] += 1
         rows.append(row)
+    points = Counter({(s, raw, plan.steps[s].outcomes[raw]): n for (s, raw), n in seen.items()})
     return Trace(_RunRecords(plan, rows)), _tally(points, scenario)
 
 

@@ -12,7 +12,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beliefsim import DriftEvent, Rule, RuleKind, Topology, build, run
+from beliefsim import (
+    DriftEvent,
+    ErrorModel,
+    GroundTruthSchedule,
+    Proposition,
+    Rule,
+    RuleKind,
+    Scenario,
+    Topology,
+    build,
+    run,
+)
 from beliefsim.rules import MAJORITY, MOST_EXPERT, _vote, apply_rule
 from beliefsim.simulator import compile_voters, lattices_by_step
 
@@ -107,3 +118,44 @@ def test_run_records_equal_apply_rule_on_their_raw_beliefs(seed):
         assert record.contributors["p"] == {
             a: tuple(sorted(c)) for a, c in result.contributors.items()
         }
+
+
+def test_run_records_past_64_agents_equal_apply_rule():
+    """The kernel's voter masks are wider than 64 bits and must not lose agents."""
+    rng = random.Random(70)
+    schema, agents = random_population(rng, 70, 2)
+    ids = [agent_id for agent_id, _ in agents]
+    # a000 hears no one; the rest hear 1-5 sources, so many voter sets are even-sized
+    adjacency = {a: rng.sample(ids, rng.randint(1, 5)) for a in ids[1:]}
+    topology = Topology.graph({ids[0]: [], **adjacency})
+    truth = {"p": ((0, True), (1, False)), "q": ((0, False), (2, True))}
+    scenario = Scenario(
+        schema=schema,
+        agents=agents,
+        propositions=tuple(Proposition(p) for p in truth),
+        ground_truth={p: GroundTruthSchedule(p, entries) for p, entries in truth.items()},
+        error_model=ErrorModel.fixed({a: rng.choice([0.2, 0.4, 0.5]) for a in ids}),
+        topology=topology,
+        rules=tuple(RULES),
+        steps=3,
+        trials=2,
+        seed=70,
+        drift=tuple(DriftEvent(rng.choice(ids), "f0", step, delta=2.0) for step in (1, 2, 2)),
+    )
+    lattices = lattices_by_step(scenario)
+    by_name = {rule.name: rule for rule in RULES}
+    trace, _ = run(scenario)
+    ties = 0
+    for record in trace.records:
+        lattice = lattices[record.step]
+        for prop in truth:
+            profile = make_profile(record.raw[prop], proposition=prop, step=record.step)
+            result = apply_rule(by_name[record.rule], lattice, profile, topology)
+            assert record.propagated[prop] == result.propagated
+            assert record.tie_broken[prop] == result.tie_broken
+            assert record.contributors[prop] == {
+                a: tuple(sorted(c)) for a, c in result.contributors.items()
+            }
+            ties += sum(result.tie_broken.values())
+    assert len(trace.records) == 2 * 3 * len(RULES)
+    assert ties > 0

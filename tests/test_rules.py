@@ -19,7 +19,7 @@ from beliefsim import (
     parse_rule,
     trace_to_jsonl,
 )
-from beliefsim.rules import MAJORITY, MOST_EXPERT
+from beliefsim.rules import MAJORITY, MOST_EXPERT, _majority, _vote
 
 from support import make_profile, make_schema, random_population, simple_scenario
 
@@ -315,3 +315,16 @@ class TestCheckConsistency:
         profile = make_profile({a: True for a in intersection.real_ids})
         with pytest.raises(ValidationError):
             check_consistency([MAJORITY], intersection, profile, FULL)
+
+
+@pytest.mark.parametrize("own", [False, True])
+def test_one_tie_rule(own):
+    """_vote counts the true votes and leaves the decision, tie included, to _majority."""
+    for voters in range(8):
+        ids = [f"v{i}" for i in range(voters)]
+        for ayes in range(voters + 1):
+            values = {a: i < ayes for i, a in enumerate(ids)}
+            expected = _majority(ayes, voters, own)
+            assert _vote(ids, values.__getitem__, own) == expected
+            assert expected[1] == (2 * ayes == voters)
+            assert expected[0] == (own if 2 * ayes == voters else 2 * ayes > voters)
