@@ -54,7 +54,6 @@ from .rules import (
     apply_rule,
     apply_subgroup_expert,
     check_consistency,
-    check_determinism,
     parse_rule,
 )
 from .scenario_io import load_scenario, parse_scenario, save_scenario, scenario_to_dict
@@ -65,6 +64,7 @@ from .simulator import (
     Trace,
     TraceRecord,
     build_intersection_scenario,
+    check_determinism,
     compute_metrics,
     lattices_by_step,
     run,

@@ -11,12 +11,14 @@ Outcome k is a bit mask: bit j is set when agent j observes the truth.
 The weights are built by doubling: after agents 0..j-1 the first 2^j
 entries hold their products, and agent j extends them to 2^(j+1) with
 one multiplication each, in the same left-to-right order as a per-agent
-product. Receivers with the same voters (compile_voters) form one group,
-so under full broadcast `majority` and `most-expert` are one group each.
-A group's right votes in every outcome are one popcount of the outcome
-masked by its voters. Each outcome's count of right receivers is an exact
-small integer, divided by n into a float64 share and multiplied by the
-outcome's weight; numpy's pairwise sum of those products is the accuracy.
+product. The error probabilities and the groups come from the run plan
+(``simulator._compile``) of step 0: one (voters, receivers) mask pair per
+distinct voter set, agent j at bit j, so under full broadcast `majority`
+and `most-expert` are one group each. A group's right votes in every
+outcome are one popcount of the outcome masked by its voters. Each
+outcome's count of right receivers is an exact small integer, divided by
+n into a float64 share and multiplied by the outcome's weight; numpy's
+pairwise sum of those products is the accuracy.
 That sum uses no threads, so the printed digits do not depend on the BLAS
 thread count. The enumeration keeps about 13 bytes per outcome (uint32
 index, float64 weight, uint8 count), against about 100 for boolean
@@ -34,7 +36,7 @@ import numpy as np
 
 from .errors import OracleDomainError
 from .lattice import DominanceLattice
-from .simulator import Scenario, compile_voters, validate_scenario
+from .simulator import Scenario, _compile, validate_scenario
 
 MAX_ORACLE_AGENTS = 20
 
@@ -69,22 +71,18 @@ def check_oracle_domain(scenario: Scenario) -> list[DominanceLattice]:
 
 def exact_rule_accuracy(scenario: Scenario) -> dict[str, float]:
     """Exact collective accuracy per rule, keyed by canonical rule name."""
-    lattices = check_oracle_domain(scenario)
-    lattice = lattices[0]
-    agents = lattice.real_ids
-    n = len(agents)
-    bit = {agent_id: 1 << j for j, agent_id in enumerate(agents)}
-    p = [scenario.error_model.probability_for(a, lattice) for a in agents]
+    plan = _compile(scenario, check_oracle_domain(scenario)[:1]).steps[0]
+    n = len(plan.error_p)
 
     # Outcome k: bit j set <=> agent j observes the truth. Its weight is the
     # product over j, in order j = 0..n-1, of 1 - p_j or p_j.
     outcomes = np.arange(2**n, dtype=np.uint32)
     weight = np.empty(2**n, dtype=float)
     weight[0] = 1.0
-    for j in range(n):
+    for j, p in enumerate(plan.error_p):
         h = 1 << j
-        np.multiply(weight[:h], 1.0 - p[j], out=weight[h : 2 * h])
-        weight[:h] *= p[j]
+        np.multiply(weight[:h], 1.0 - p, out=weight[h : 2 * h])
+        weight[:h] *= p
 
     masked = np.empty(2**n, dtype=np.uint32)
     votes = np.empty(2**n, dtype=np.uint8)
@@ -92,23 +90,20 @@ def exact_rule_accuracy(scenario: Scenario) -> dict[str, float]:
     decided = np.empty(2**n, dtype=bool)
     shares = np.empty(2**n, dtype=float)
     accuracies: dict[str, float] = {}
-    for rule in scenario.rules:
-        groups: dict[tuple[str, ...], list[str]] = {}
-        for receiver, voters in compile_voters(rule, lattice, scenario.topology, 0).items():
-            groups.setdefault(voters, []).append(receiver)
+    for rule in plan.rules:
         # count[k]: receivers right in outcome k; n <= MAX_ORACLE_AGENTS fits uint8
         count = np.zeros(2**n, dtype=np.uint8)
-        for voters, receivers in groups.items():
-            half, odd = divmod(len(voters), 2)
-            np.bitwise_and(outcomes, sum(bit[v] for v in voters), out=masked)
+        for voters, receivers in rule.groups:
+            half, odd = divmod(voters.bit_count(), 2)
+            np.bitwise_and(outcomes, voters, out=masked)
             np.bitwise_count(masked, out=votes)
             np.greater(votes, half, out=decided)
-            np.multiply(decided, np.uint8(len(receivers)), out=right)
+            np.multiply(decided, np.uint8(receivers.bit_count()), out=right)
             count += right
             if not odd:
                 # a tie leaves each receiver with its own observation
                 np.equal(votes, half, out=decided)
-                np.bitwise_and(outcomes, sum(bit[r] for r in receivers), out=masked)
+                np.bitwise_and(outcomes, receivers, out=masked)
                 np.bitwise_count(masked, out=right)
                 np.multiply(right, decided, out=right)
                 count += right

@@ -4,10 +4,11 @@ Every rule works the same way underneath: it picks a set of voters (the
 contributors) from the dominance lattice, the sharing topology and the
 receiver, then takes a majority vote over the voters' beliefs. The voter
 set never depends on beliefs, so the simulator compiles it once per
-(step, rule) from :func:`apply_rule`, keeps it as a bit mask and counts
-each trial's true votes by popcount. The lattice memoises frontiers by
-member set, so receivers with the same visible set share one: under full
-broadcast, most-expert computes one frontier per step, not one per receiver.
+(step, rule) from :func:`apply_rule` into groups, a voters mask and the
+mask of the receivers that share it, which trials and the oracle vote
+over by popcount. The lattice memoises frontiers by member set, so
+receivers with the same visible set share one: under full broadcast,
+most-expert computes one frontier per step, not one per receiver.
 
 Tie policy, shared by all rules and the simulator and stated once, in
 :func:`_majority`: on an exact vote tie the receiver retains its own prior
@@ -78,8 +79,11 @@ class ReceiverOutcome(NamedTuple):
     tie_broken: bool
 
 
-def _majority(ayes: int, voters: int, own: bool) -> tuple[bool, bool]:
-    """(value, tie_broken) of `ayes` true votes among `voters`; a tie falls back to `own`."""
+def _majority(ayes: int, voters: int, own: bool | int) -> tuple[bool | int, bool]:
+    """(value, tie_broken) of `ayes` true votes among `voters`; a tie falls back to `own`.
+
+    `own` is a belief, or a mask of a group's own beliefs.
+    """
     if 2 * ayes == voters:
         return own, True
     return 2 * ayes > voters, False
@@ -241,23 +245,3 @@ def check_consistency(
                     pairs.append((left, right))
         contradictions[receiver] = tuple(pairs)
     return ConsistencyReport(profile.proposition, profile.step, contradictions, results)
-
-
-def check_determinism(rule: Rule, scenario, seed: int, repetitions: int) -> bool:
-    """True iff repeated runs of the scenario under `rule` yield identical results."""
-    from dataclasses import replace
-
-    from .simulator import run, trace_to_jsonl
-
-    if repetitions < 2:
-        raise ValidationError("repetitions must be >= 2")
-    pinned = replace(scenario, rules=(rule,), seed=seed)
-    reference: str | None = None
-    for _ in range(repetitions):
-        trace, _metrics = run(pinned)
-        serialized = trace_to_jsonl(trace)
-        if reference is None:
-            reference = serialized
-        elif serialized != reference:
-            return False
-    return True

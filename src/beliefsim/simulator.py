@@ -14,21 +14,22 @@ A run goes in four parts:
   each proposition, each rule's voters (read from :func:`apply_rule`,
   since voters depend only on the step's lattice, the topology and the
   receiver) and the trace text that no trial changes. The lattice
-  computes one frontier per distinct visible set. Each rule keeps each
-  distinct voter set once, as an int mask whose bit i is the step's
-  agent i, and each receiver the index of its mask; each voter set is
-  rendered as JSON once, and each (step, rule) renders one receiver map
-  that every proposition shares. Validation builds the lattices once per
-  command: the CLI applies its flag overrides before the one validation.
+  computes one frontier per distinct visible set. Each rule keeps one
+  group per distinct voter set, a ``(voters, receivers)`` pair of int
+  masks whose bit i is the step's agent i; the oracle uses these groups
+  too. Each voter set is rendered as JSON once, and each (step, rule)
+  renders one receiver map that every proposition shares. Validation
+  builds the lattices once per command, after the CLI's flag overrides.
 - **Rows.** A trial draws every belief through :class:`RandomStream` and
-  keeps only bools: per step, the raw beliefs per proposition and, per
-  rule, the propagated and tie-broken values. Each step memoises the
-  rules' outcomes by the whole raw row. A new row costs one popcount per
-  distinct mask and proposition, then ``rules._majority`` per receiver.
+  keeps one int mask per proposition: per step, the raw beliefs and, per
+  rule, the propagated and tie-broken masks. Each step memoises the
+  rules' outcomes by the whole raw row. A new row costs one popcount and
+  one ``rules._majority`` call per group and proposition.
 - **Tally.** :func:`run` counts each step's raw rows as trials finish and
-  tallies them with their memoised outcomes. :func:`compute_metrics`
-  groups a trace's records into the same rows and feeds the same tally;
-  its counts are integers, so both give byte-equal metrics.
+  tallies them, by popcounts, with their memoised outcomes.
+  :func:`compute_metrics` turns a trace's records into the same masks
+  and feeds the same tally; its counts are integers, so both give
+  byte-equal metrics.
 - **Lazy records.** The trace that :func:`run` returns keeps the rows.
   Its ``records`` build a TraceRecord only when indexed or iterated, and
   :func:`trace_to_jsonl` renders its lines straight from the rows, byte
@@ -46,8 +47,8 @@ import json
 import math
 import operator
 from collections import Counter
-from collections.abc import Hashable, Mapping, Sequence
-from dataclasses import dataclass
+from collections.abc import Hashable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .beliefs import (
@@ -265,6 +266,11 @@ class Trace:
 _JSON_BOOL = ("false", "true")
 
 
+def _bools(mask: int, n: int) -> Iterator[bool]:
+    """Bits 0..n-1 of `mask` as bools, bit 0 first."""
+    return map("1".__eq__, f"{mask:0{n}b}"[::-1])
+
+
 def _template(keys: Sequence[str]) -> str:
     """A '%'-template of a JSON object with these keys, one '%s' per value."""
     return "{" + ",".join(json.dumps(k).replace("%", "%%") + ":%s" for k in keys) + "}"
@@ -274,8 +280,8 @@ class _RulePlan(NamedTuple):
     """One rule at one step: its voters and the trace text they fix."""
 
     name: str
-    masks: tuple[int, ...]  # each distinct voter set; bit i is the step's agent i
-    which: tuple[int, ...]  # per receiver, the index of its voter set in masks
+    # (voters, receivers) per distinct voter set, as masks: bit i is the step's agent i
+    groups: tuple[tuple[int, int], ...]
     contributors: Mapping[str, tuple[str, ...]]  # each receiver's voters by id
     head: str  # record text from ',"step":' up to the raw map
     contributors_text: str  # ',"contributors":{...}'
@@ -290,9 +296,9 @@ class _StepPlan(NamedTuple):
     truth: tuple[bool, ...]  # per proposition
     rules: tuple[_RulePlan, ...]
     agents_template: str
-    # Raw rows -> each rule's (propagated, tie_broken) rows. Votes depend on
+    # Raw masks -> each rule's (propagated, tie_broken) masks. Votes depend on
     # nothing else, and small groups repeat raw rows across trials.
-    outcomes: dict[tuple[tuple[bool, ...], ...], tuple[tuple[tuple, tuple], ...]]
+    outcomes: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]]
 
 
 class _Plan(NamedTuple):
@@ -304,10 +310,10 @@ class _Plan(NamedTuple):
     steps: tuple[_StepPlan, ...]
 
 
-# A trial's rows hold, per step, (raw, outcomes): raw has one bool per agent
-# per proposition, and outcomes one (propagated, tie_broken) pair per rule,
-# shaped like raw.
-_StepRow = tuple[tuple[tuple[bool, ...], ...], tuple[tuple[tuple, tuple], ...]]
+# A trial's rows hold, per step, (raw, outcomes): raw has one mask per
+# proposition, bit i set when the step's agent i believes it, and outcomes
+# one (propagated, tie_broken) pair per rule, shaped like raw.
+_StepRow = tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]]
 
 
 class _RunRecords(Sequence):
@@ -339,7 +345,8 @@ class _RunRecords(Sequence):
         props = self._plan.propositions
 
         def maps(rows):
-            return {p: dict(zip(step_plan.agents, values)) for p, values in zip(props, rows)}
+            n = len(step_plan.agents)
+            return {p: dict(zip(step_plan.agents, _bools(mask, n))) for p, mask in zip(props, rows)}
 
         return TraceRecord(
             trial, step, rule_plan.name, step_plan.digest, maps(raw), maps(propagated),
@@ -349,15 +356,17 @@ class _RunRecords(Sequence):
     def jsonl(self) -> str:
         """The records as trace.jsonl text, rendered from the rows."""
         plan = self._plan
-        texts: list[dict] = [{} for _ in plan.steps]  # per step: bool rows -> JSON text
+        texts: list[dict] = [{} for _ in plan.steps]  # per step: mask rows -> JSON text
 
         def text(step: int, rows) -> str:
-            """{proposition: {agent: bool}} as JSON, from one bool row per proposition."""
+            """{proposition: {agent: bool}} as JSON, from one mask per proposition."""
             found = texts[step].get(rows)
             if found is None:
-                agents = plan.steps[step].agents_template
+                step_plan = plan.steps[step]
+                n = len(step_plan.agents)
                 found = texts[step][rows] = plan.propositions_template % tuple(
-                    agents % tuple(map(_JSON_BOOL.__getitem__, values)) for values in rows
+                    step_plan.agents_template % tuple(map(_JSON_BOOL.__getitem__, _bools(mask, n)))
+                    for mask in rows
                 )
             return found
 
@@ -462,14 +471,16 @@ def _binomial_halfwidth(p: float, n: int) -> float:
 def _tally(points: Counter, scenario: Scenario) -> Metrics:
     """Metrics from a histogram of (step, raw, outcomes) points.
 
-    A point is one (trial, step): the raw beliefs, one bool row per
-    proposition with agents in id order, and per rule in scenario order
-    its (propagated, tie_broken) rows shaped alike. Equal points count
-    equally, so each distinct one is counted once and weighted. The counts
-    are integers and the divisions happen last, so the metrics do not
-    depend on the order points arrive in.
+    A point is one (trial, step): the raw beliefs, one mask per proposition
+    whose bit i is agent i in id order, and per rule in scenario order its
+    (propagated, tie_broken) masks. Popcounts count right beliefs (``mask``
+    or ``full ^ mask``) and disagreements (``left ^ right``), once per
+    distinct point, weighted. The counts are integers and the divisions
+    happen last, so the metrics do not depend on the order of the points.
     """
     agents = sorted(agent_id for agent_id, _ in scenario.agents)
+    n = len(agents)
+    full = (1 << n) - 1
     names = [rule.name for rule in scenario.rules]
     pairs = [(i, j) for i in range(len(names)) for j in range(i + 1, len(names))]
     truth_at = [
@@ -484,20 +495,21 @@ def _tally(points: Counter, scenario: Scenario) -> Metrics:
     pair_total = [0] * len(pairs)
     for (step, raw, outcomes), weight in points.items():
         truth = truth_at[step]
-        for values, value in zip(raw, truth):
-            for i, belief in enumerate(values):
-                if belief == value:
+        for mask, value in zip(raw, truth):
+            right = mask if value else full ^ mask
+            for i in range(n):
+                if right >> i & 1:
                     agent_correct[i] += weight
         for r, (propagated, tie_broken) in enumerate(outcomes):
-            for values, value in zip(propagated, truth):
-                correct[r] += weight * values.count(value)
-                outcomes_n[r] += weight * len(values)
-            for values in tie_broken:
-                ties[r] += weight * values.count(True)
+            for mask, value in zip(propagated, truth):
+                correct[r] += weight * (mask if value else full ^ mask).bit_count()
+                outcomes_n[r] += weight * n
+            for mask in tie_broken:
+                ties[r] += weight * mask.bit_count()
         for k, (i, j) in enumerate(pairs):
             for left, right in zip(outcomes[i][0], outcomes[j][0]):
-                pair_diff[k] += weight * sum(map(operator.ne, left, right))
-                pair_total[k] += weight * len(left)
+                pair_diff[k] += weight * (left ^ right).bit_count()
+                pair_total[k] += weight * n
 
     rule_metrics = {}
     for r, name in enumerate(names):
@@ -539,37 +551,28 @@ def _compile(scenario: Scenario, lattices: Sequence[DominanceLattice]) -> _Plan:
     """The per-step plan: agents, error probabilities, truth, voters, fixed trace text."""
     props = tuple(p.id for p in scenario.propositions)
     props_template = _template(props)
-    # Receivers often share a voter set (under full broadcast, every receiver
-    # of majority or most-expert does), so each distinct one is kept, and
-    # converted to a mask and to JSON text, once.
-    shared: dict[tuple[str, ...], tuple[str, ...]] = {}
+    # Receivers often share a voter set (under full broadcast, every receiver of
+    # majority or most-expert does): each distinct one is one group and one text.
     as_text: dict[tuple[str, ...], str] = {}
     steps = []
     for step, lattice in enumerate(lattices):
         agents = lattice.real_ids
         agents_template = _template(agents)
-        index = {agent_id: i for i, agent_id in enumerate(agents)}
-        as_mask: dict[tuple[str, ...], int] = {}
+        bit = {agent_id: 1 << i for i, agent_id in enumerate(agents)}
         digest = lattice.digest()
         rules = []
         for rule in scenario.rules:
-            voters = {
-                a: shared.setdefault(v, v)
-                for a, v in compile_voters(rule, lattice, scenario.topology, step).items()
-            }
-            slots: dict[tuple[str, ...], int] = {}  # this rule's distinct voter sets, numbered
-            which = tuple(slots.setdefault(voters[a], len(slots)) for a in agents)
-            for v in slots:
-                if v not in as_mask:
-                    as_mask[v] = sum(1 << index[voter] for voter in v)
+            voters = compile_voters(rule, lattice, scenario.topology, step)
+            receivers: dict[tuple[str, ...], int] = {}  # voter set -> its receivers' mask
+            for a, v in voters.items():
+                receivers[v] = receivers.get(v, 0) | bit[a]
                 if v not in as_text:
                     as_text[v] = json.dumps(v, separators=(",", ":"))
             by_receiver = agents_template % tuple(as_text[voters[a]] for a in agents)
             rules.append(
                 _RulePlan(
                     rule.name,
-                    tuple(as_mask[v] for v in slots),
-                    which,
+                    tuple((sum(map(bit.__getitem__, v)), mask) for v, mask in receivers.items()),
                     voters,
                     f',"step":{step},"rule":{json.dumps(rule.name)},'
                     f'"lattice_digest":{json.dumps(digest)},"raw":',
@@ -590,21 +593,27 @@ def _compile(scenario: Scenario, lattices: Sequence[DominanceLattice]) -> _Plan:
     return _Plan(scenario.seed, props, props_template, tuple(steps))
 
 
-def _vote_rows(step: _StepPlan, raw) -> tuple[tuple[tuple, tuple], ...]:
-    """Each rule's (propagated, tie_broken) rows over a step's raw rows.
+def _vote_rows(step: _StepPlan, raw: tuple[int, ...]) -> tuple[tuple[tuple, tuple], ...]:
+    """Each rule's (propagated, tie_broken) masks over a step's raw masks.
 
-    Per proposition: one popcount of the true beliefs per distinct voter
-    mask, then :func:`_majority` per receiver on its mask's count.
+    Per group and proposition: one popcount of the voters' true beliefs,
+    then one :func:`_majority` call, whose tie hands each of the group's
+    receivers its own raw belief.
     """
-    ayes = [sum(1 << i for i, value in enumerate(values) if value) for values in raw]
     outcomes = []
     for rule in step.rules:
         rows = []
-        for values, yes in zip(raw, ayes):
-            counts = [((yes & mask).bit_count(), mask.bit_count()) for mask in rule.masks]
-            votes = [_majority(*counts[w], own) for w, own in zip(rule.which, values)]
-            rows.append(tuple(zip(*votes)))  # (propagated, tie_broken)
-        outcomes.append(tuple(zip(*rows)))
+        for yes in raw:
+            values = ties = 0
+            for voters, receivers in rule.groups:
+                value, tie = _majority((yes & voters).bit_count(), voters.bit_count(), yes & receivers)
+                if tie:
+                    values |= value
+                    ties |= receivers
+                elif value:
+                    values |= receivers
+            rows.append((values, ties))
+        outcomes.append(tuple(zip(*rows)))  # (propagated, tie_broken)
     return tuple(outcomes)
 
 
@@ -613,9 +622,10 @@ def _run_trial(plan: _Plan, trial: int) -> tuple[_StepRow, ...]:
     rows = []
     for step, step_plan in enumerate(plan.steps):
         raw = tuple(
-            tuple(
-                truth != (RandomStream(plan.seed, trial, agent, step, prop).uniform() < p)
-                for agent, p in zip(step_plan.agents, step_plan.error_p)
+            sum(
+                1 << i
+                for i, (agent, p) in enumerate(zip(step_plan.agents, step_plan.error_p))
+                if truth != (RandomStream(plan.seed, trial, agent, step, prop).uniform() < p)
             )
             for prop, truth in zip(plan.propositions, step_plan.truth)
         )
@@ -645,12 +655,20 @@ def run(scenario: Scenario) -> tuple[Trace, Metrics]:
     return Trace(_RunRecords(plan, rows)), _tally(points, scenario)
 
 
+def check_determinism(rule: Rule, scenario: Scenario, seed: int, repetitions: int) -> bool:
+    """True iff repeated runs of the scenario under `rule` yield identical results."""
+    if repetitions < 2:
+        raise ValidationError("repetitions must be >= 2")
+    pinned = replace(scenario, rules=(rule,), seed=seed)
+    return len({trace_to_jsonl(run(pinned)[0]) for _ in range(repetitions)}) == 1
+
+
 def _named(trial, step, rule) -> str:
     return f"(trial {trial!r}, step {step!r}, rule {rule!r})"
 
 
 def _bool_rows(record: TraceRecord, field: str, props: Sequence[str], agents: Sequence[str]):
-    """A record's `field` maps as one bool row per proposition, in `agents` order.
+    """A record's `field` maps as one mask per proposition, bit i for `agents[i]`.
 
     Any other shape or value raises a ValidationError that names the record.
     """
@@ -672,7 +690,7 @@ def _bool_rows(record: TraceRecord, field: str, props: Sequence[str], agents: Se
     odd = [value for row in rows for value in row if type(value) is not bool]
     if odd:
         raise ValidationError(f"{where} has {field} value {odd[0]!r}, not true or false")
-    return rows
+    return tuple(sum(1 << i for i, value in enumerate(row) if value) for row in rows)
 
 
 def compute_metrics(trace: Trace, scenario: Scenario) -> Metrics:

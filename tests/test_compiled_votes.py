@@ -159,3 +159,26 @@ def test_run_records_past_64_agents_equal_apply_rule():
             ties += sum(result.tie_broken.values())
     assert len(trace.records) == 2 * 3 * len(RULES)
     assert ties > 0
+
+
+def test_group_tie_leaves_each_receiver_its_own_belief():
+    """A 2-2 split under full broadcast: one group of four ties on every trial."""
+    schema, agents = random_population(random.Random(4), 4, 2)
+    ids = [agent_id for agent_id, _ in agents]
+    scenario = simple_scenario(
+        schema, agents, dict(zip(ids, (0.0, 0.0, 1.0, 1.0))), rules=[MAJORITY], steps=2, trials=3
+    )
+    lattices = lattices_by_step(scenario)
+    trace, metrics = run(scenario)
+    assert len(trace.records) == 2 * 3
+    for record in trace.records:
+        raw = record.raw["p"]
+        assert raw == dict(zip(ids, (True, True, False, False)))
+        assert record.propagated["p"] == raw
+        assert all(record.tie_broken["p"].values())
+        lattice = lattices[record.step]
+        result = apply_rule(MAJORITY, lattice, make_profile(raw), Topology.full_broadcast())
+        assert record.propagated["p"] == result.propagated
+        assert record.tie_broken["p"] == result.tie_broken
+    assert metrics.rules["majority"].tie_rate == 1.0
+    assert metrics.rules["majority"].accuracy == 0.5
