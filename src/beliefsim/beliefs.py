@@ -215,24 +215,42 @@ class ErrorModel:
         return self.p_min + (self.p_max - self.p_min) * rank
 
 
+def stream_head(seed: int, trial: int) -> bytes:
+    """The key bytes that every stream of one (seed, trial) starts with."""
+    return f"{seed}{_KEY_SEP}{trial}{_KEY_SEP}".encode()
+
+
+def stream_tail(agent: str, step: int, proposition: str) -> bytes:
+    """The key bytes after the head: one (agent, step, proposition), then the separator."""
+    return f"{agent}{_KEY_SEP}{step}{_KEY_SEP}{proposition}{_KEY_SEP}".encode()
+
+
 class RandomStream:
     """Deterministic uniform stream for one (seed, trial, agent, step, proposition).
 
-    Draw i is blake2b(key || i) mapped to [0, 1); no state beyond the
-    counter, identical on every platform.
+    Draw i is blake2b(prefix || i) mapped to [0, 1), where the prefix is
+    ``stream_head(seed, trial) + stream_tail(agent, step, proposition)``
+    and ends in the separator; no state beyond the counter, identical on
+    every platform. :meth:`keyed` takes a ready prefix, so a caller that
+    draws many streams can build the key parts once.
     """
 
+    __slots__ = ("_prefix", "_counter")
+
     def __init__(self, seed: int, trial: int, agent: str, step: int, proposition: str) -> None:
-        self._prefix = _KEY_SEP.join(
-            (str(seed), str(trial), agent, str(step), proposition)
-        ).encode("utf-8")
+        self._prefix = stream_head(seed, trial) + stream_tail(agent, step, proposition)
         self._counter = 0
 
+    @classmethod
+    def keyed(cls, prefix: bytes) -> "RandomStream":
+        """The stream keyed by `prefix`, ``stream_head(...) + stream_tail(...)``."""
+        stream = cls.__new__(cls)
+        stream._prefix = prefix
+        stream._counter = 0
+        return stream
+
     def uniform(self) -> float:
-        digest = hashlib.blake2b(
-            self._prefix + _KEY_SEP.encode() + str(self._counter).encode(),
-            digest_size=8,
-        ).digest()
+        digest = hashlib.blake2b(self._prefix + str(self._counter).encode(), digest_size=8).digest()
         self._counter += 1
         return int.from_bytes(digest, "big") / 2**64
 

@@ -10,21 +10,24 @@ the whole run is reproducible bit-for-bit.
 A run goes in four parts:
 
 - **Plan.** Before the first trial, each step is compiled once: the
-  agents in lattice order, each agent's error probability, the truth of
-  each proposition, each rule's voters (read from :func:`apply_rule`,
-  since voters depend only on the step's lattice, the topology and the
-  receiver) and the trace text that no trial changes. The lattice
-  computes one frontier per distinct visible set. Each rule keeps one
-  group per distinct voter set, a ``(voters, receivers)`` pair of int
-  masks whose bit i is the step's agent i; the oracle uses these groups
-  too. Each voter set is rendered as JSON once, and each (step, rule)
-  renders one receiver map that every proposition shares. Validation
-  builds the lattices once per command, after the CLI's flag overrides.
-- **Rows.** A trial draws every belief through :class:`RandomStream` and
-  keeps one int mask per proposition: per step, the raw beliefs and, per
-  rule, the propagated and tie-broken masks. Each step memoises the
-  rules' outcomes by the whole raw row. A new row costs one popcount and
-  one ``rules._majority`` call per group and proposition.
+  agents in lattice order, each agent's error probability and stream key
+  tails, the truth of each proposition, each rule's voters (read from
+  :func:`apply_rule`, since voters depend only on the step's lattice, the
+  topology and the receiver) and the trace text that no trial changes.
+  The lattice computes one frontier per distinct visible set. Each rule
+  keeps one group per distinct voter set, a ``(voters, receivers)`` pair
+  of int masks whose bit i is the step's agent i; the oracle uses these
+  groups too. Each voter set is rendered as JSON once, and each (step,
+  rule) renders one receiver map that every proposition shares.
+  Validation builds the lattices once per command, after the CLI's flag
+  overrides.
+- **Rows.** A trial encodes its stream key head once and draws every
+  belief from ``RandomStream.keyed(head + tail)``, which draws what
+  ``RandomStream(seed, trial, agent, step, proposition)`` draws. It keeps
+  one int mask per proposition: per step, the raw beliefs and, per rule,
+  the propagated and tie-broken masks. Each step memoises the rules'
+  outcomes by the whole raw row. A new row costs one popcount and one
+  ``rules._majority`` call per group and proposition.
 - **Tally.** :func:`run` counts each step's raw rows as trials finish and
   tallies them, by popcounts, with their memoised outcomes.
   :func:`compute_metrics` turns a trace's records into the same masks
@@ -33,7 +36,9 @@ A run goes in four parts:
 - **Lazy records.** The trace that :func:`run` returns keeps the rows.
   Its ``records`` build a TraceRecord only when indexed or iterated, and
   :func:`trace_to_jsonl` renders its lines straight from the rows, byte
-  for byte what ``TraceRecord.to_dict`` plus ``json.dumps`` give.
+  for byte what ``TraceRecord.to_dict`` plus ``json.dumps`` give. Each
+  distinct (step, raw row) renders each rule's line after ``{"trial":N``
+  once; every line is a trial's text and one of these shared tails.
 
 Trace records are flat: one per (trial, step, rule), with per-proposition
 maps inside. Metrics are a pure function of the trace plus the scenario's
@@ -61,6 +66,8 @@ from .beliefs import (
     RandomStream,
     Topology,
     observe,  # not called here; bench/tracer.py looks up simulator.observe
+    stream_head,
+    stream_tail,
 )
 from .errors import ConfigurationError, ValidationError
 from .features import Direction, Feature, FeatureSchema, FeatureVector
@@ -294,6 +301,7 @@ class _StepPlan(NamedTuple):
     agents: tuple[str, ...]  # lattice order, which is id order
     error_p: tuple[float, ...]  # per agent
     truth: tuple[bool, ...]  # per proposition
+    tails: tuple[tuple[bytes, ...], ...]  # per proposition, each agent's stream_tail
     rules: tuple[_RulePlan, ...]
     agents_template: str
     # Raw masks -> each rule's (propagated, tie_broken) masks. Votes depend on
@@ -354,9 +362,15 @@ class _RunRecords(Sequence):
         )
 
     def jsonl(self) -> str:
-        """The records as trace.jsonl text, rendered from the rows."""
+        """The records as trace.jsonl text, rendered from the rows.
+
+        A step's raw row fixes its outcomes, so each distinct (step, raw)
+        renders each rule's line after ``{"trial":N`` once. Every line is
+        then a trial's text and one of these shared tails, joined once.
+        """
         plan = self._plan
         texts: list[dict] = [{} for _ in plan.steps]  # per step: mask rows -> JSON text
+        tails: list[dict] = [{} for _ in plan.steps]  # per step: raw -> each rule's line tail
 
         def text(step: int, rows) -> str:
             """{proposition: {agent: bool}} as JSON, from one mask per proposition."""
@@ -370,19 +384,26 @@ class _RunRecords(Sequence):
                 )
             return found
 
-        lines = []
+        def line_tails(step: int, raw, outcomes) -> tuple[str, ...]:
+            raw_text = text(step, raw)
+            return tuple(
+                f"{rule_plan.head}{raw_text}"
+                f',"propagated":{text(step, propagated)}'
+                f"{rule_plan.contributors_text}"
+                f',"tie_broken":{text(step, ties)}}}\n'
+                for rule_plan, (propagated, ties) in zip(plan.steps[step].rules, outcomes)
+            )
+
+        parts = []
         for trial, row in enumerate(self._rows):
             trial_text = '{"trial":' + str(trial)
             for step, (raw, outcomes) in enumerate(row):
-                raw_text = text(step, raw)
-                for rule_plan, (propagated, ties) in zip(plan.steps[step].rules, outcomes):
-                    lines.append(
-                        f"{trial_text}{rule_plan.head}{raw_text}"
-                        f',"propagated":{text(step, propagated)}'
-                        f"{rule_plan.contributors_text}"
-                        f',"tie_broken":{text(step, ties)}}}\n'
-                    )
-        return "".join(lines)
+                found = tails[step].get(raw)
+                if found is None:
+                    found = tails[step][raw] = line_tails(step, raw, outcomes)
+                for tail in found:
+                    parts += (trial_text, tail)
+        return "".join(parts)
 
 
 def trace_to_jsonl(trace: Trace) -> str:
@@ -585,6 +606,7 @@ def _compile(scenario: Scenario, lattices: Sequence[DominanceLattice]) -> _Plan:
                 agents,
                 tuple(scenario.error_model.probability_for(a, lattice) for a in agents),
                 tuple(scenario.ground_truth[p].value_at(step) for p in props),
+                tuple(tuple(stream_tail(a, step, p) for a in agents) for p in props),
                 tuple(rules),
                 agents_template,
                 {},
@@ -618,16 +640,21 @@ def _vote_rows(step: _StepPlan, raw: tuple[int, ...]) -> tuple[tuple[tuple, tupl
 
 
 def _run_trial(plan: _Plan, trial: int) -> tuple[_StepRow, ...]:
-    """Draw every belief of one trial and vote every rule over them."""
+    """Draw every belief of one trial and vote every rule over them.
+
+    Each draw is the first of the stream keyed by the trial's head and the
+    plan's tail, what ``RandomStream(seed, trial, agent, step, prop)`` draws.
+    """
+    head = stream_head(plan.seed, trial)
     rows = []
-    for step, step_plan in enumerate(plan.steps):
+    for step_plan in plan.steps:
         raw = tuple(
             sum(
                 1 << i
-                for i, (agent, p) in enumerate(zip(step_plan.agents, step_plan.error_p))
-                if truth != (RandomStream(plan.seed, trial, agent, step, prop).uniform() < p)
+                for i, (tail, p) in enumerate(zip(tails, step_plan.error_p))
+                if truth != (RandomStream.keyed(head + tail).uniform() < p)
             )
-            for prop, truth in zip(plan.propositions, step_plan.truth)
+            for tails, truth in zip(step_plan.tails, step_plan.truth)
         )
         outcomes = step_plan.outcomes.get(raw)
         if outcomes is None:
@@ -707,14 +734,37 @@ def compute_metrics(trace: Trace, scenario: Scenario) -> Metrics:
         for step in range(scenario.steps)
         for name in rule_names
     }
-    keys = [(r.trial, r.step, r.rule) for r in trace.records]
-    odd = [key for key in keys if not all(isinstance(part, Hashable) for part in key)]
-    if odd:
-        raise ValidationError(f"trace record {_named(*odd[0])} has a list or map as a key")
 
     def known(key) -> bool:  # True == 1.0 == 1, so the types are checked too
         return type(key[0]) is int and type(key[1]) is int and key in expected
 
+    # One pass over the records, which a lazy trace builds as it goes. A bad
+    # row is raised only after the keys pass, so key faults are named first.
+    props = [prop.id for prop in scenario.propositions]
+    agents = sorted(agent_id for agent_id, _ in scenario.agents)
+    rule_index = {name: i for i, name in enumerate(rule_names)}
+    keys = []
+    odd = bad_row = None  # the first key that is not hashable, the first bad row's error
+    by_point: dict[tuple[int, int], list] = {}
+    for record in trace.records:
+        key = (record.trial, record.step, record.rule)
+        keys.append(key)
+        if not all(isinstance(part, Hashable) for part in key):
+            odd = odd or key
+            continue
+        try:
+            rows = tuple(
+                _bool_rows(record, field, props, agents)
+                for field in ("raw", "propagated", "tie_broken")
+            )
+        except ValidationError as exc:
+            bad_row = bad_row or exc
+            continue
+        if known(key):
+            by_point.setdefault(key[:2], [None] * len(rule_names))[rule_index[key[2]]] = rows
+
+    if odd:
+        raise ValidationError(f"trace record {_named(*odd)} has a list or map as a key")
     seen = set(filter(known, keys))
     if seen != expected.keys() or len(keys) != len(expected):
         missing = [_named(*key) for key in expected if key not in seen][:1]
@@ -726,18 +776,9 @@ def compute_metrics(trace: Trace, scenario: Scenario) -> Metrics:
             + "".join(f"; first missing {key}" for key in missing)
             + "".join(f"; first unexpected {key}" for key in unexpected)
         )
+    if bad_row is not None:
+        raise bad_row
 
-    props = [prop.id for prop in scenario.propositions]
-    agents = sorted(agent_id for agent_id, _ in scenario.agents)
-    rule_index = {name: i for i, name in enumerate(rule_names)}
-    by_point: dict[tuple[int, int], list] = {}
-    for record in trace.records:
-        rows = tuple(
-            _bool_rows(record, field, props, agents)
-            for field in ("raw", "propagated", "tie_broken")
-        )
-        point = by_point.setdefault((record.trial, record.step), [None] * len(rule_names))
-        point[rule_index[record.rule]] = rows
     points: Counter = Counter()
     for (trial, step), rows in by_point.items():
         # raw beliefs repeat per rule; count them once, from the first rule

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from beliefsim import (
     Belief,
@@ -20,6 +21,7 @@ from beliefsim import (
     observe,
     visible_profile,
 )
+from beliefsim.beliefs import IDENTIFIER, stream_head, stream_tail
 
 from support import make_profile, make_schema
 
@@ -106,6 +108,21 @@ class TestStreams:
         assert RandomStream(42, 7, "agent-1", 12, "pedestrian").uniform() == (
             0.6158289148039129
         )
+
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        trial=st.integers(0, 10**12),
+        agent=st.from_regex(IDENTIFIER, fullmatch=True),
+        step=st.integers(0, 10**6),
+        prop=st.from_regex(IDENTIFIER, fullmatch=True),
+    )
+    def test_keyed_stream_draws_like_the_reference(self, seed, trial, agent, step, prop):
+        # the run kernel draws from a per-trial head plus a per-(agent, step,
+        # proposition) tail built once; RandomStream(...) stays the reference
+        keyed = RandomStream.keyed(stream_head(seed, trial) + stream_tail(agent, step, prop))
+        reference = RandomStream(seed, trial, agent, step, prop)
+        assert type(keyed) is RandomStream
+        assert [keyed.uniform() for _ in range(3)] == [reference.uniform() for _ in range(3)]
 
     def test_per_agent_independence(self):
         # changing a2's error probability must not disturb a1's stream

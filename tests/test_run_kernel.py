@@ -16,10 +16,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beliefsim import (
+    Direction,
     DriftEvent,
     ErrorModel,
+    FeatureVector,
     GroundTruthSchedule,
     Proposition,
+    RandomStream,
     Rule,
     RuleKind,
     Scenario,
@@ -31,7 +34,7 @@ from beliefsim import (
 )
 from beliefsim.rules import MAJORITY, MOST_EXPERT
 
-from support import loop_metrics, random_population
+from support import loop_metrics, make_schema, random_population, simple_scenario
 
 RULES = [MOST_EXPERT, MAJORITY] + [
     Rule(RuleKind.SUBGROUP_EXPERT, depth, include_self)
@@ -118,3 +121,63 @@ def test_rows_render_tally_and_index_like_records(scenario):
     with pytest.raises(IndexError):
         lazy[-expected - 1]
 
+
+def test_each_draw_calls_uniform_once(monkeypatch):
+    # The benchmark's tracer counts draws by wrapping RandomStream.uniform on
+    # the class, so every kernel draw must look uniform up there, once.
+    calls = 0
+    uniform = RandomStream.uniform
+
+    def counting(stream):
+        nonlocal calls
+        calls += 1
+        return uniform(stream)
+
+    monkeypatch.setattr(RandomStream, "uniform", counting)
+    schema = make_schema((Direction.SMALLER_IS_BETTER,))
+    agents = tuple((f"a{i}", FeatureVector((float(i),))) for i in range(5))
+    scenario = Scenario(
+        schema=schema,
+        agents=agents,
+        propositions=(Proposition("p"), Proposition("q")),
+        ground_truth={
+            "p": GroundTruthSchedule.constant("p", True),
+            "q": GroundTruthSchedule("q", ((0, False), (2, True))),
+        },
+        error_model=ErrorModel.quality_mapped(0.1, 0.4),
+        topology=Topology.full_broadcast(),
+        rules=(MOST_EXPERT, MAJORITY),
+        steps=3,
+        trials=7,
+        seed=3,
+        drift=(DriftEvent("a4", "f0", 1, value=-1.0), DriftEvent("a0", "f0", 2, delta=9.0)),
+    )
+    run(scenario)
+    assert calls == 7 * 3 * 2 * 5  # trials x steps x propositions x agents
+
+
+def test_a_raw_row_repeated_across_steps_renders_each_step():
+    # a0 never errs and b0, b1 always do, so every (trial, step) has the same
+    # raw row. Drift makes b0 the expert at step 1: the lattice and the
+    # most-expert outcome change while the raw row does not.
+    schema = make_schema((Direction.SMALLER_IS_BETTER,))
+    agents = (("a0", FeatureVector((1.0,))), ("b0", FeatureVector((2.0,))), ("b1", FeatureVector((3.0,))))
+    scenario = simple_scenario(
+        schema,
+        agents,
+        {"a0": 0.0, "b0": 1.0, "b1": 1.0},
+        rules=(MOST_EXPERT, MAJORITY),
+        steps=2,
+        trials=3,
+        drift=(DriftEvent("b0", "f0", 1, value=0.0),),
+    )
+    trace, _ = run(scenario)
+    records = list(trace.records)
+    first, second = records[0], records[2]  # most-expert at steps 0 and 1 of trial 0
+    assert (first.step, second.step) == (0, 1)
+    assert first.raw == second.raw
+    assert first.lattice_digest != second.lattice_digest
+    assert first.propagated != second.propagated
+
+    reference = "".join(json.dumps(r.to_dict(), separators=(",", ":")) + "\n" for r in records)
+    assert trace_to_jsonl(trace) == reference
