@@ -11,14 +11,15 @@ Outcome k is a bit mask: bit j is set when agent j observes the truth.
 The weights are built by doubling: after agents 0..j-1 the first 2^j
 entries hold their products, and agent j extends them to 2^(j+1) with
 one multiplication each, in the same left-to-right order as a per-agent
-product. The error probabilities and the groups come from the run plan
-(``simulator._compile``) of step 0: one (voters, receivers) mask pair per
-distinct voter set, agent j at bit j, so under full broadcast `majority`
-and `most-expert` are one group each. A group's right votes in every
-outcome are one popcount of the outcome masked by its voters. Each
-outcome's count of right receivers is an exact small integer, divided by
-n into a float64 share and multiplied by the outcome's weight; numpy's
-pairwise sum of those products is the accuracy.
+product. The error probabilities and the groups come from the run's vote
+plan (``simulator._compile``) of step 0, which holds no trace text: one
+(voters, receivers) mask pair per distinct voter set, agent j at bit j,
+so under full broadcast `majority` and `most-expert` are one group each.
+A group's right votes in every outcome are one popcount of the outcome
+masked by its voters. Each outcome's count of right receivers is an
+exact small integer, divided by n into a float64 share and multiplied by
+the outcome's weight; numpy's pairwise sum of those products is the
+accuracy.
 That sum uses no threads, so the printed digits do not depend on the BLAS
 thread count. The enumeration keeps about 13 bytes per outcome (uint32
 index, float64 weight, uint8 count), against about 100 for boolean

@@ -9,36 +9,37 @@ the whole run is reproducible bit-for-bit.
 
 A run goes in four parts:
 
-- **Plan.** Before the first trial, each step is compiled once: the
-  agents in lattice order, each agent's error probability and stream key
-  tails, the truth of each proposition, each rule's voters (read from
-  :func:`apply_rule`, since voters depend only on the step's lattice, the
-  topology and the receiver) and the trace text that no trial changes.
-  The lattice computes one frontier per distinct visible set. Each rule
-  keeps one group per distinct voter set, a ``(voters, receivers)`` pair
-  of int masks whose bit i is the step's agent i; the oracle uses these
-  groups too. Each voter set is rendered as JSON once, and each (step,
-  rule) renders one receiver map that every proposition shares.
+- **Plan.** Before the first trial, each step is compiled once into a
+  vote plan: the agents in lattice order, each agent's error probability
+  and stream key tails, the truth of each proposition, the lattice
+  digest, and each rule's voters (read from :func:`apply_rule`, since
+  voters depend only on the step's lattice, the topology and the
+  receiver). The lattice computes one frontier per distinct visible set.
+  Each rule keeps one group per distinct voter set, a ``(voters,
+  receivers)`` pair of int masks whose bit i is the step's agent i; the
+  oracle uses these groups too. The plan holds no trace text.
   Validation builds the lattices once per command, after the CLI's flag
   overrides.
 - **Rows.** A trial encodes its stream key head once and draws every
   belief from ``RandomStream.keyed(head + tail)``, which draws what
-  ``RandomStream(seed, trial, agent, step, proposition)`` draws. It keeps
-  one int mask per proposition: per step, the raw beliefs and, per rule,
-  the propagated and tie-broken masks. Each step memoises the rules'
-  outcomes by the whole raw row. A new row costs one popcount and one
-  ``rules._majority`` call per group and proposition.
-- **Tally.** :func:`run` counts each step's raw rows as trials finish and
-  tallies them, by popcounts, with their memoised outcomes.
+  ``RandomStream(seed, trial, agent, step, proposition)`` draws. Its row
+  keeps only the raw beliefs, one int mask per proposition and step.
+  Each step's memo maps a whole raw row to every rule's propagated and
+  tie-broken masks, and the trials fill it: a new row costs one popcount
+  and one ``rules._majority`` call per group and proposition.
+- **Tally.** :func:`run` counts each step's raw rows and tallies them, by
+  popcounts, with their memoised outcomes.
   :func:`compute_metrics` turns a trace's records into the same masks
   and feeds the same tally; its counts are integers, so both give
   byte-equal metrics.
-- **Lazy records.** The trace that :func:`run` returns keeps the rows.
-  Its ``records`` build a TraceRecord only when indexed or iterated, and
-  :func:`trace_to_jsonl` renders its lines straight from the rows, byte
-  for byte what ``TraceRecord.to_dict`` plus ``json.dumps`` give. Each
-  distinct (step, raw row) renders each rule's line after ``{"trial":N``
-  once; every line is a trial's text and one of these shared tails.
+- **Lazy records.** The trace that :func:`run` returns keeps the rows
+  and reads outcomes from the memo. Its ``records`` build a TraceRecord
+  only when indexed or iterated, and :func:`trace_to_jsonl` renders its
+  lines straight from the rows, byte for byte what ``TraceRecord.to_dict``
+  plus ``json.dumps`` give. The renderer owns the line format: it builds
+  each (step, rule)'s fixed text once, and each entry of a step's memo
+  renders each rule's line after ``{"trial":N`` once; every line is a
+  trial's text and one of these shared tails.
 
 Trace records are flat: one per (trial, step, rule), with per-proposition
 maps inside. Metrics are a pure function of the trace plus the scenario's
@@ -284,18 +285,16 @@ def _template(keys: Sequence[str]) -> str:
 
 
 class _RulePlan(NamedTuple):
-    """One rule at one step: its voters and the trace text they fix."""
+    """One rule at one step: its voters."""
 
     name: str
     # (voters, receivers) per distinct voter set, as masks: bit i is the step's agent i
     groups: tuple[tuple[int, int], ...]
-    contributors: Mapping[str, tuple[str, ...]]  # each receiver's voters by id
-    head: str  # record text from ',"step":' up to the raw map
-    contributors_text: str  # ',"contributors":{...}'
+    contributors: Mapping[str, tuple[str, ...]]  # each receiver's voters by id, in agent order
 
 
 class _StepPlan(NamedTuple):
-    """What no trial changes at one step."""
+    """One step of the vote plan; only `outcomes` changes after it is compiled."""
 
     digest: str
     agents: tuple[str, ...]  # lattice order, which is id order
@@ -303,9 +302,8 @@ class _StepPlan(NamedTuple):
     truth: tuple[bool, ...]  # per proposition
     tails: tuple[tuple[bytes, ...], ...]  # per proposition, each agent's stream_tail
     rules: tuple[_RulePlan, ...]
-    agents_template: str
-    # Raw masks -> each rule's (propagated, tie_broken) masks. Votes depend on
-    # nothing else, and small groups repeat raw rows across trials.
+    # Raw masks -> each rule's (propagated, tie_broken) masks, filled by the
+    # trials. Votes depend on nothing else, and small groups repeat raw rows.
     outcomes: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]]
 
 
@@ -314,20 +312,18 @@ class _Plan(NamedTuple):
 
     seed: int
     propositions: tuple[str, ...]
-    propositions_template: str
     steps: tuple[_StepPlan, ...]
 
 
-# A trial's rows hold, per step, (raw, outcomes): raw has one mask per
-# proposition, bit i set when the step's agent i believes it, and outcomes
-# one (propagated, tie_broken) pair per rule, shaped like raw.
-_StepRow = tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]]
-
-
 class _RunRecords(Sequence):
-    """The records of a run, kept as compact rows and built on demand."""
+    """The records of a run, kept as raw rows and built on demand.
 
-    def __init__(self, plan: _Plan, rows: Sequence[Sequence[_StepRow]]) -> None:
+    A trial's row holds, per step, one raw mask per proposition, bit i set
+    when the step's agent i believes it. The outcomes of every raw row are
+    in its step's memo, which holds exactly the run's distinct raw rows.
+    """
+
+    def __init__(self, plan: _Plan, rows: Sequence[Sequence[tuple[int, ...]]]) -> None:
         self._plan = plan
         self._rows = rows  # per trial
         self._rules = len(plan.steps[0].rules)
@@ -346,9 +342,9 @@ class _RunRecords(Sequence):
             raise IndexError(f"trace record index {index} out of range")
         trial, rest = divmod(position, self._per_trial)
         step, rule = divmod(rest, self._rules)
-        raw, outcomes = self._rows[trial][step]
-        propagated, ties = outcomes[rule]
         step_plan = self._plan.steps[step]
+        raw = self._rows[trial][step]
+        propagated, ties = step_plan.outcomes[raw][rule]
         rule_plan = step_plan.rules[rule]
         props = self._plan.propositions
 
@@ -364,44 +360,49 @@ class _RunRecords(Sequence):
     def jsonl(self) -> str:
         """The records as trace.jsonl text, rendered from the rows.
 
-        A step's raw row fixes its outcomes, so each distinct (step, raw)
+        The bytes are what ``TraceRecord.to_dict`` plus ``json.dumps`` give.
+        A step's raw row fixes its outcomes, so each entry of a step's memo
         renders each rule's line after ``{"trial":N`` once. Every line is
         then a trial's text and one of these shared tails, joined once.
         """
         plan = self._plan
-        texts: list[dict] = [{} for _ in plan.steps]  # per step: mask rows -> JSON text
-        tails: list[dict] = [{} for _ in plan.steps]  # per step: raw -> each rule's line tail
+        props_template = _template(plan.propositions)
+        lines = []  # per step: raw -> each rule's line tail
+        for step, step_plan in enumerate(plan.steps):
+            n = len(step_plan.agents)
+            agents_template = _template(step_plan.agents)
 
-        def text(step: int, rows) -> str:
-            """{proposition: {agent: bool}} as JSON, from one mask per proposition."""
-            found = texts[step].get(rows)
-            if found is None:
-                step_plan = plan.steps[step]
-                n = len(step_plan.agents)
-                found = texts[step][rows] = plan.propositions_template % tuple(
-                    step_plan.agents_template % tuple(map(_JSON_BOOL.__getitem__, _bools(mask, n)))
+            def text(rows) -> str:
+                """{proposition: {agent: bool}} as JSON, from one mask per proposition."""
+                return props_template % tuple(
+                    agents_template % tuple(map(_JSON_BOOL.__getitem__, _bools(mask, n)))
                     for mask in rows
                 )
-            return found
 
-        def line_tails(step: int, raw, outcomes) -> tuple[str, ...]:
-            raw_text = text(step, raw)
-            return tuple(
-                f"{rule_plan.head}{raw_text}"
-                f',"propagated":{text(step, propagated)}'
-                f"{rule_plan.contributors_text}"
-                f',"tie_broken":{text(step, ties)}}}\n'
-                for rule_plan, (propagated, ties) in zip(plan.steps[step].rules, outcomes)
-            )
+            fixed = []  # per rule: (',"step":...,"raw":', ',"contributors":{...}')
+            for rule in step_plan.rules:
+                voters = rule.contributors.values()
+                as_text = {v: json.dumps(v, separators=(",", ":")) for v in set(voters)}
+                by_receiver = agents_template % tuple(map(as_text.__getitem__, voters))
+                fixed.append((
+                    f',"step":{step},"rule":{json.dumps(rule.name)},'
+                    f'"lattice_digest":{json.dumps(step_plan.digest)},"raw":',
+                    ',"contributors":' + props_template % ((by_receiver,) * len(plan.propositions)),
+                ))
+            lines.append({})
+            for raw, outcomes in step_plan.outcomes.items():
+                raw_text = text(raw)
+                lines[step][raw] = tuple(
+                    f'{head}{raw_text},"propagated":{text(propagated)}'
+                    f'{contributors},"tie_broken":{text(ties)}}}\n'
+                    for (head, contributors), (propagated, ties) in zip(fixed, outcomes)
+                )
 
         parts = []
         for trial, row in enumerate(self._rows):
             trial_text = '{"trial":' + str(trial)
-            for step, (raw, outcomes) in enumerate(row):
-                found = tails[step].get(raw)
-                if found is None:
-                    found = tails[step][raw] = line_tails(step, raw, outcomes)
-                for tail in found:
+            for step, raw in enumerate(row):
+                for tail in lines[step][raw]:
                     parts += (trial_text, tail)
         return "".join(parts)
 
@@ -511,9 +512,7 @@ def _tally(points: Counter, scenario: Scenario) -> Metrics:
     agent_correct = [0] * len(agents)
     correct = [0] * len(names)
     ties = [0] * len(names)
-    outcomes_n = [0] * len(names)
     pair_diff = [0] * len(pairs)
-    pair_total = [0] * len(pairs)
     for (step, raw, outcomes), weight in points.items():
         truth = truth_at[step]
         for mask, value in zip(raw, truth):
@@ -524,32 +523,29 @@ def _tally(points: Counter, scenario: Scenario) -> Metrics:
         for r, (propagated, tie_broken) in enumerate(outcomes):
             for mask, value in zip(propagated, truth):
                 correct[r] += weight * (mask if value else full ^ mask).bit_count()
-                outcomes_n[r] += weight * n
             for mask in tie_broken:
                 ties[r] += weight * mask.bit_count()
         for k, (i, j) in enumerate(pairs):
             for left, right in zip(outcomes[i][0], outcomes[j][0]):
                 pair_diff[k] += weight * (left ^ right).bit_count()
-                pair_total[k] += weight * n
 
+    agent_total = points.total() * len(scenario.propositions)
+    total = agent_total * n  # outcomes per rule, and per pair of rules
     rule_metrics = {}
     for r, name in enumerate(names):
-        n = outcomes_n[r]
-        acc = correct[r] / n
-        hw = _binomial_halfwidth(acc, n)
+        acc = correct[r] / total
+        hw = _binomial_halfwidth(acc, total)
         rule_metrics[name] = RuleMetrics(
             rule=name,
             accuracy=acc,
             ci_low=max(0.0, acc - hw),
             ci_high=min(1.0, acc + hw),
-            tie_rate=ties[r] / n,
-            outcomes=n,
+            tie_rate=ties[r] / total,
+            outcomes=total,
         )
-    agent_total = points.total() * len(scenario.propositions)
     agent_accuracy = {a: c / agent_total for a, c in zip(agents, agent_correct)}
     contradiction_rates = {
-        f"{names[i]}|{names[j]}": diff / total
-        for (i, j), diff, total in zip(pairs, pair_diff, pair_total)
+        f"{names[i]}|{names[j]}": diff / total for (i, j), diff in zip(pairs, pair_diff)
     }
     return Metrics(rule_metrics, agent_accuracy, contradiction_rates, scenario.trials, scenario.steps)
 
@@ -569,50 +565,34 @@ def compile_voters(
 
 
 def _compile(scenario: Scenario, lattices: Sequence[DominanceLattice]) -> _Plan:
-    """The per-step plan: agents, error probabilities, truth, voters, fixed trace text."""
+    """The per-step vote plan: agents, error probabilities, truth, key tails, voters."""
     props = tuple(p.id for p in scenario.propositions)
-    props_template = _template(props)
-    # Receivers often share a voter set (under full broadcast, every receiver of
-    # majority or most-expert does): each distinct one is one group and one text.
-    as_text: dict[tuple[str, ...], str] = {}
     steps = []
     for step, lattice in enumerate(lattices):
         agents = lattice.real_ids
-        agents_template = _template(agents)
         bit = {agent_id: 1 << i for i, agent_id in enumerate(agents)}
-        digest = lattice.digest()
         rules = []
         for rule in scenario.rules:
             voters = compile_voters(rule, lattice, scenario.topology, step)
+            # Receivers often share a voter set (under full broadcast, every
+            # receiver of majority or most-expert does): each is one group.
             receivers: dict[tuple[str, ...], int] = {}  # voter set -> its receivers' mask
             for a, v in voters.items():
                 receivers[v] = receivers.get(v, 0) | bit[a]
-                if v not in as_text:
-                    as_text[v] = json.dumps(v, separators=(",", ":"))
-            by_receiver = agents_template % tuple(as_text[voters[a]] for a in agents)
-            rules.append(
-                _RulePlan(
-                    rule.name,
-                    tuple((sum(map(bit.__getitem__, v)), mask) for v, mask in receivers.items()),
-                    voters,
-                    f',"step":{step},"rule":{json.dumps(rule.name)},'
-                    f'"lattice_digest":{json.dumps(digest)},"raw":',
-                    ',"contributors":' + props_template % ((by_receiver,) * len(props)),
-                )
-            )
+            groups = tuple((sum(map(bit.__getitem__, v)), mask) for v, mask in receivers.items())
+            rules.append(_RulePlan(rule.name, groups, voters))
         steps.append(
             _StepPlan(
-                digest,
+                lattice.digest(),
                 agents,
                 tuple(scenario.error_model.probability_for(a, lattice) for a in agents),
                 tuple(scenario.ground_truth[p].value_at(step) for p in props),
                 tuple(tuple(stream_tail(a, step, p) for a in agents) for p in props),
                 tuple(rules),
-                agents_template,
                 {},
             )
         )
-    return _Plan(scenario.seed, props, props_template, tuple(steps))
+    return _Plan(scenario.seed, props, tuple(steps))
 
 
 def _vote_rows(step: _StepPlan, raw: tuple[int, ...]) -> tuple[tuple[tuple, tuple], ...]:
@@ -639,8 +619,8 @@ def _vote_rows(step: _StepPlan, raw: tuple[int, ...]) -> tuple[tuple[tuple, tupl
     return tuple(outcomes)
 
 
-def _run_trial(plan: _Plan, trial: int) -> tuple[_StepRow, ...]:
-    """Draw every belief of one trial and vote every rule over them.
+def _run_trial(plan: _Plan, trial: int) -> tuple[tuple[int, ...], ...]:
+    """Draw every belief of one trial; each step's memo gets the votes of a new raw row.
 
     Each draw is the first of the stream keyed by the trial's head and the
     plan's tail, what ``RandomStream(seed, trial, agent, step, prop)`` draws.
@@ -656,10 +636,9 @@ def _run_trial(plan: _Plan, trial: int) -> tuple[_StepRow, ...]:
             )
             for tails, truth in zip(step_plan.tails, step_plan.truth)
         )
-        outcomes = step_plan.outcomes.get(raw)
-        if outcomes is None:
-            outcomes = step_plan.outcomes[raw] = _vote_rows(step_plan, raw)
-        rows.append((raw, outcomes))
+        if raw not in step_plan.outcomes:
+            step_plan.outcomes[raw] = _vote_rows(step_plan, raw)
+        rows.append(raw)
     return tuple(rows)
 
 
@@ -667,17 +646,12 @@ def run(scenario: Scenario) -> tuple[Trace, Metrics]:
     """Execute every trial in order and aggregate metrics.
 
     Metrics come from the same tally of the trials' rows that
-    :func:`compute_metrics` feeds from a trace's records. Trials are counted
-    by (step, raw); the step's memo gives each point's outcomes at the end.
+    :func:`compute_metrics` feeds from a trace's records. The rows are
+    counted by (step, raw); the step's memo gives each point's outcomes.
     """
     plan = _compile(scenario, validate_scenario(scenario))
-    seen: Counter = Counter()
-    rows = []
-    for trial in range(scenario.trials):
-        row = _run_trial(plan, trial)
-        for step, (raw, _) in enumerate(row):
-            seen[step, raw] += 1
-        rows.append(row)
+    rows = [_run_trial(plan, trial) for trial in range(scenario.trials)]
+    seen = Counter((step, raw) for row in rows for step, raw in enumerate(row))
     points = Counter({(s, raw, plan.steps[s].outcomes[raw]): n for (s, raw), n in seen.items()})
     return Trace(_RunRecords(plan, rows)), _tally(points, scenario)
 
