@@ -67,6 +67,11 @@ class BeliefProfile:
     def agents(self) -> frozenset[str]:
         return frozenset(self.beliefs)
 
+    @cached_property
+    def values(self) -> dict[str, bool]:
+        """Each agent's belief value, by agent id."""
+        return {agent_id: belief.value for agent_id, belief in self.beliefs.items()}
+
     def value_of(self, agent_id: str) -> bool:
         try:
             return self.beliefs[agent_id].value

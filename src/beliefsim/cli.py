@@ -24,7 +24,7 @@ from .errors import OracleDomainError, ValidationError
 from .oracle import exact_rule_accuracy
 from .rules import parse_rule
 from .scenario_io import load_scenario, read_scenario
-from .simulator import Metrics, Scenario, run, trace_to_jsonl, validate_scenario
+from .simulator import Metrics, Scenario, run, trace_blocks, trace_to_jsonl, validate_scenario
 
 
 def _error(message: str) -> None:
@@ -74,7 +74,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     }
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "trace.jsonl").write_text(trace_to_jsonl(trace), encoding="utf-8")
+        # Block by block, so neither the whole text nor its encoding is ever held.
+        trace_bytes = 0
+        with open(out_dir / "trace.jsonl", "wb") as handle:
+            for block in trace_blocks(trace):
+                trace_bytes += handle.write(trace_to_jsonl(block).encode("utf-8"))
+        manifest.update(records=len(trace.records), trace_bytes=trace_bytes)
         (out_dir / "metrics.json").write_text(
             json.dumps(metrics.to_dict(), indent=2) + "\n", encoding="utf-8"
         )

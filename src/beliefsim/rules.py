@@ -90,8 +90,16 @@ def _majority(ayes: int, voters: int, own: bool | int) -> tuple[bool | int, bool
 
 
 def _vote(voters: Collection[str], value_of: Callable[[str], bool], own: bool) -> tuple[bool, bool]:
-    """(value, tie_broken) of the voters' majority, by :func:`_majority`."""
-    return _majority(sum(map(value_of, voters)), len(voters), own)
+    """(value, tie_broken) of the voters' majority, by :func:`_majority`.
+
+    `value_of` may be a dict's ``__getitem__``: a voter without a belief
+    raises the UnknownAgentError that ``BeliefProfile.value_of`` raises.
+    """
+    try:
+        ayes = sum(map(value_of, voters))
+    except KeyError as exc:
+        raise UnknownAgentError(f"no belief for agent {exc.args[0]!r}") from None
+    return _majority(ayes, len(voters), own)
 
 
 def apply_most_expert(
@@ -111,7 +119,7 @@ def apply_most_expert(
         raise UnknownAgentError(f"unknown receiver {receiver!r}")
     visible = topology.visible(receiver, profile.agents)
     frontier = lattice.maximal_frontier(visible)
-    value, tie = _vote(frontier, profile.value_of, profile.value_of(receiver))
+    value, tie = _vote(frontier, profile.values.__getitem__, profile.value_of(receiver))
     return ReceiverOutcome(value, frozenset(frontier), tie)
 
 
@@ -123,7 +131,7 @@ def apply_majority(profile_visible: BeliefProfile, receiver: str) -> ReceiverOut
     if receiver not in profile_visible.beliefs:
         raise UnknownAgentError(f"unknown receiver {receiver!r}")
     voters = profile_visible.agents
-    value, tie = _vote(voters, profile_visible.value_of, profile_visible.value_of(receiver))
+    value, tie = _vote(voters, profile_visible.values.__getitem__, profile_visible.value_of(receiver))
     return ReceiverOutcome(value, voters, tie)
 
 
@@ -166,7 +174,7 @@ def apply_subgroup_expert(
         contributors |= layer
     if include_self or not experts:
         contributors.add(receiver)
-    value, tie = _vote(contributors, profile.value_of, profile.value_of(receiver))
+    value, tie = _vote(contributors, profile.values.__getitem__, profile.value_of(receiver))
     return ReceiverOutcome(value, frozenset(contributors), tie)
 
 

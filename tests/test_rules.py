@@ -8,6 +8,7 @@ from beliefsim import (
     Rule,
     RuleKind,
     Topology,
+    UnknownAgentError,
     ValidationError,
     apply_majority,
     apply_most_expert,
@@ -328,3 +329,14 @@ def test_one_tie_rule(own):
             assert _vote(ids, values.__getitem__, own) == expected
             assert expected[1] == (2 * ayes == voters)
             assert expected[0] == (own if 2 * ayes == voters else 2 * ayes > voters)
+
+
+@pytest.mark.parametrize("vote", [
+    lambda lattice, profile, topology: apply_most_expert(lattice, profile, topology, "s4"),
+    lambda lattice, profile, topology: apply_subgroup_expert(lattice, profile, topology, "s4", 1, False),
+])
+def test_voter_without_belief_is_named(vote, intersection):
+    """Votes read BeliefProfile.values; a voter missing from it fails as value_of does."""
+    profile = make_profile({"s2": True, "s3": False, "s4": False})
+    with pytest.raises(UnknownAgentError, match="no belief for agent 's1'"):
+        vote(intersection, profile, Topology.graph({"s4": ["s1"]}))
