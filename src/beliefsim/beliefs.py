@@ -72,6 +72,10 @@ class BeliefProfile:
         """Each agent's belief value, by agent id."""
         return {agent_id: belief.value for agent_id, belief in self.beliefs.items()}
 
+    @cached_property
+    def ayes(self) -> int:  # how many agents believe the proposition
+        return sum(self.values.values())
+
     def value_of(self, agent_id: str) -> bool:
         try:
             return self.beliefs[agent_id].value
@@ -80,7 +84,7 @@ class BeliefProfile:
 
     def restrict(self, agents: Iterable[str]) -> "BeliefProfile":
         keep = frozenset(agents)  # no copy of a frozenset
-        if keep >= self.agents:
+        if keep is self.agents or keep >= self.agents:
             return self
         return BeliefProfile(
             self.step,

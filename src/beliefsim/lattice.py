@@ -6,9 +6,9 @@ vectors and completed with two synthetic bound nodes: a virtual supremum
 (``__bottom__``, componentwise worst). Cover edges store the transitive
 reduction; the full dominance relation is kept as one int bit mask of
 dominators per agent, built by one sorted walk per feature, so expert
-queries and frontiers are mask operations. Each instance memoises the
-frontier of every member set it is asked about, keyed by the set's mask,
-so receivers that see the same agents share one frontier.
+queries and frontiers are mask operations. Each instance memoises the mask
+of a member set, the frontier of a mask and the ids of a mask, as one shared
+frozenset, so receivers that see the same agents share one frontier.
 
 Instances are immutable; update/insert/remove return a fresh lattice that
 is observationally equal to building from scratch on the new population.
@@ -32,9 +32,9 @@ can tie the bound vector).
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from itertools import groupby
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
 
 from .errors import UnknownAgentError, ValidationError
@@ -44,6 +44,14 @@ from .features import compare  # not called here; bench/tracer.py looks up latti
 BOTTOM_ID = "__bottom__"
 TOP_ID = "__top__"
 _RESERVED = {BOTTOM_ID, TOP_ID}
+
+# json.dumps(indent=2) layout; no list is empty (a feature, a quality, two bounds, an edge).
+_SNAPSHOT = '{\n  "format": "dominance-lattice/1",\n  "schema": [\n%s\n  ],\n'
+_SNAPSHOT += '  "nodes": [\n%s\n  ],\n  "cover_edges": [\n%s\n  ]\n}'
+_FEATURE = '    {\n      "name": %s,\n      "direction": %s,\n      "unit": %s\n    }'
+_NODE = '    {\n      "id": %s,\n      "virtual": %s,\n      "quality": [\n        %s\n      ]\n    }'
+_EDGE = "    [\n      %s,\n      %s\n    ]"
+_JSON_BOOL = ("false", "true")
 
 
 @dataclass(frozen=True)
@@ -79,10 +87,11 @@ class DominanceLattice:
         self._by_id = {node.id: node for node in nodes}
         self._snapshot_cache: str | None = None
         self.real_ids: tuple[str, ...] = tuple(node.id for node in nodes if not node.virtual)
-        self._index = {agent_id: i for i, agent_id in enumerate(self.real_ids)}
-        self._bit = {agent_id: 1 << i for agent_id, i in self._index.items()}
-        self._dominators = dominators  # per real id: bit j set <=> real_ids[j] dominates it
-        self._frontiers: dict[int, frozenset[str]] = {}  # members' mask -> their frontier
+        self._bit = {agent_id: 1 << i for i, agent_id in enumerate(self.real_ids)}
+        self.dominators = dominators  # per real id: bit j set <=> real_ids[j] dominates it
+        self._masks: dict[frozenset[str], int] = {}  # memos for the lattice's life: set -> mask,
+        self._frontiers: dict[int, int] = {}  # mask -> the mask of its frontier,
+        self._members: dict[int, frozenset[str]] = {}  # mask -> its ids, one frozenset for all callers
 
     # -- identity ---------------------------------------------------------
 
@@ -112,45 +121,66 @@ class DominanceLattice:
     def quality_of(self, agent_id: str) -> FeatureVector:
         return self.node(agent_id).quality
 
-    def _require_real(self, agent_id: str) -> int:
+    def position(self, agent_id: str) -> int:
         """The agent's position in real_ids; unknown ids and virtual bounds raise."""
         node = self.node(agent_id)
         if node.virtual:
             raise UnknownAgentError(f"{agent_id!r} is a virtual bound, not an agent")
-        return self._index[agent_id]
+        return self._bit[agent_id].bit_length() - 1
 
     # -- order queries ------------------------------------------------------
 
     def experts_of(self, agent_id: str) -> set[str]:
         """Real agents whose quality strictly dominates this agent's."""
-        mask = self._dominators[self._require_real(agent_id)]
-        return {self.real_ids[j] for j in _iter_bits(mask)}
+        return set(self.members(self.dominators[self.position(agent_id)]))
 
     def less_experts_of(self, agent_id: str) -> set[str]:
         """Real agents whose quality is strictly dominated by this agent's."""
-        bit = 1 << self._require_real(agent_id)
-        return {a for a, mask in zip(self.real_ids, self._dominators) if mask & bit}
+        bit = 1 << self.position(agent_id)
+        return {a for a, mask in zip(self.real_ids, self.dominators) if mask & bit}
 
     def expert_count(self, agent_id: str) -> int:
         """How many real agents strictly dominate this agent."""
-        return self._dominators[self._require_real(agent_id)].bit_count()
+        return self.dominators[self.position(agent_id)].bit_count()
+
+    def mask_of(self, among: Iterable[str]) -> int:
+        """Bits of the real agents in `among`; other ids are left out. Memoised per set."""
+        members = frozenset(among)  # no copy of a frozenset, whose hash is kept
+        if members not in self._masks:
+            self._masks[members] = sum(self._bit.get(a, 0) for a in members)
+        return self._masks[members]
+
+    def frontier(self, mask: int) -> int:
+        """The members of a non-empty mask that no other member dominates, as a mask."""
+        if mask not in self._frontiers:
+            if not mask:
+                raise ValidationError("maximal_frontier requires a non-empty subset")
+            frontier, rest = 0, mask
+            while rest:  # each member, lowest bit first
+                low = rest & -rest
+                if not self.dominators[low.bit_length() - 1] & mask:
+                    frontier |= low
+                rest ^= low
+            self._frontiers[mask] = frontier
+        return self._frontiers[mask]
+
+    def members(self, mask: int) -> frozenset[str]:
+        """The ids of a mask, as one frozenset shared by every caller."""
+        if mask not in self._members:
+            self._members[mask] = frozenset(self.real_ids[i] for i in _iter_bits(mask))
+        return self._members[mask]
+
+    def frontier_of(self, among: Iterable[str]) -> frozenset[str]:
+        """The shared frontier of `among`; the smallest id that is no real agent raises."""
+        members = frozenset(among)
+        mask = self.mask_of(members)
+        if mask.bit_count() != len(members):
+            self.position(min(members - self._bit.keys()))  # raises for that id
+        return self.members(self.frontier(mask))
 
     def maximal_frontier(self, among: Iterable[str]) -> set[str]:
-        """Members of `among` not dominated by another member; memoised by mask, copied out."""
-        members = frozenset(among)  # no copy when `among` is a frozenset already
-        try:
-            mask = sum(map(self._bit.__getitem__, members))  # distinct bits, so sum is OR
-        except KeyError:
-            self._require_real(min(members - self._bit.keys()))  # raises for that id
-            raise
-        if not mask:
-            raise ValidationError("maximal_frontier requires a non-empty subset")
-        frontier = self._frontiers.get(mask)
-        if frontier is None:
-            frontier = self._frontiers[mask] = frozenset(
-                a for a in members if not self._dominators[self._index[a]] & mask
-            )
-        return set(frontier)
+        """Members of `among` not dominated by another member, as a set of the caller's own."""
+        return set(self.frontier_of(among))
 
     # -- mutations (each returns a rebuilt lattice) --------------------------
 
@@ -158,7 +188,7 @@ class DominanceLattice:
         return [(node.id, node.quality) for node in self.nodes if not node.virtual]
 
     def update_quality(self, agent_id: str, new_quality: FeatureVector) -> "DominanceLattice":
-        self._require_real(agent_id)
+        self.position(agent_id)
         population = [
             (aid, new_quality if aid == agent_id else q) for aid, q in self._population()
         ]
@@ -170,27 +200,25 @@ class DominanceLattice:
         return build(self.schema, self._population() + [(agent_id, quality)])
 
     def remove(self, agent_id: str) -> "DominanceLattice":
-        self._require_real(agent_id)
+        self.position(agent_id)
         population = [(aid, q) for aid, q in self._population() if aid != agent_id]
         return build(self.schema, population)
 
     # -- serialization --------------------------------------------------------
 
     def snapshot_text(self) -> str:
+        """The snapshot document as ``json.dumps(doc, indent=2)`` writes it, by templates."""
         if self._snapshot_cache is None:
-            doc = {
-                "format": "dominance-lattice/1",
-                "schema": [
-                    {"name": f.name, "direction": f.direction.value, "unit": f.unit}
-                    for f in self.schema.features
-                ],
-                "nodes": [
-                    {"id": n.id, "virtual": n.virtual, "quality": list(n.quality.values)}
-                    for n in self.nodes
-                ],
-                "cover_edges": [list(edge) for edge in self.cover_edges],
-            }
-            self._snapshot_cache = json.dumps(doc, indent=2)
+            text, number = encode_basestring_ascii, float.__repr__  # json.dumps's str and float
+            schema = (
+                _FEATURE % (text(f.name), text(f.direction.value), text(f.unit)) for f in self.schema.features
+            )
+            nodes = (
+                _NODE % (text(n.id), _JSON_BOOL[n.virtual], ",\n        ".join(map(number, n.quality.values)))
+                for n in self.nodes
+            )
+            edges = (_EDGE % (text(u), text(v)) for u, v in self.cover_edges)
+            self._snapshot_cache = _SNAPSHOT % tuple(map(",\n".join, (schema, nodes, edges)))
         return self._snapshot_cache
 
     def digest(self) -> str:

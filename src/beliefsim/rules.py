@@ -6,9 +6,9 @@ receiver, then takes a majority vote over the voters' beliefs. The voter
 set never depends on beliefs, so the simulator compiles it once per
 (step, rule) from :func:`apply_rule` into groups, a voters mask and the
 mask of the receivers that share it, which trials and the oracle vote
-over by popcount. The lattice memoises frontiers by member set, so
-receivers with the same visible set share one: under full broadcast,
-most-expert computes one frontier per step, not one per receiver.
+over by popcount. Voters come from the lattice's masks and memos, as frozensets
+the lattice shares: under full broadcast, most-expert computes one frontier per
+step and majority counts one profile's ayes, not one of each per receiver.
 
 Tie policy, shared by all rules and the simulator and stated once, in
 :func:`_majority`: on an exact vote tie the receiver retains its own prior
@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Collection, Mapping, NamedTuple, Sequence
 
 from .beliefs import BeliefProfile, Topology, visible_profile
 from .errors import UnknownAgentError, ValidationError
@@ -117,10 +117,9 @@ def apply_most_expert(
     """
     if receiver not in profile.beliefs:
         raise UnknownAgentError(f"unknown receiver {receiver!r}")
-    visible = topology.visible(receiver, profile.agents)
-    frontier = lattice.maximal_frontier(visible)
+    frontier = lattice.frontier_of(topology.visible(receiver, profile.agents))
     value, tie = _vote(frontier, profile.values.__getitem__, profile.value_of(receiver))
-    return ReceiverOutcome(value, frozenset(frontier), tie)
+    return ReceiverOutcome(value, frontier, tie)
 
 
 def apply_majority(profile_visible: BeliefProfile, receiver: str) -> ReceiverOutcome:
@@ -131,21 +130,8 @@ def apply_majority(profile_visible: BeliefProfile, receiver: str) -> ReceiverOut
     if receiver not in profile_visible.beliefs:
         raise UnknownAgentError(f"unknown receiver {receiver!r}")
     voters = profile_visible.agents
-    value, tie = _vote(voters, profile_visible.values.__getitem__, profile_visible.value_of(receiver))
+    value, tie = _majority(profile_visible.ayes, len(voters), profile_visible.value_of(receiver))
     return ReceiverOutcome(value, voters, tie)
-
-
-def expert_layers(
-    lattice: DominanceLattice, experts: Iterable[str], depth: int
-) -> list[set[str]]:
-    """Successive maximal frontiers of an expert set, best layer first."""
-    remaining = set(experts)
-    layers: list[set[str]] = []
-    while remaining and len(layers) < depth:
-        layer = lattice.maximal_frontier(remaining)
-        layers.append(layer)
-        remaining -= layer
-    return layers
 
 
 def apply_subgroup_expert(
@@ -167,15 +153,16 @@ def apply_subgroup_expert(
         raise ValidationError(f"depth must be >= 1, got {depth}")
     if receiver not in profile.beliefs:
         raise UnknownAgentError(f"unknown receiver {receiver!r}")
-    visible = topology.visible(receiver, profile.agents)
-    experts = lattice.experts_of(receiver) & visible
-    contributors: set[str] = set()
-    for layer in expert_layers(lattice, experts, depth):
-        contributors |= layer
-    if include_self or not experts:
-        contributors.add(receiver)
+    at = lattice.position(receiver)
+    # The visible experts, as a mask: mask_of leaves out ids the lattice lacks.
+    remaining = lattice.dominators[at] & lattice.mask_of(topology.visible(receiver, profile.agents))
+    voters = 1 << at if include_self or not remaining else 0
+    while remaining and depth:  # peel off one frontier layer per level of depth
+        layer = lattice.frontier(remaining)
+        voters, remaining, depth = voters | layer, remaining ^ layer, depth - 1
+    contributors = lattice.members(voters)
     value, tie = _vote(contributors, profile.values.__getitem__, profile.value_of(receiver))
-    return ReceiverOutcome(value, frozenset(contributors), tie)
+    return ReceiverOutcome(value, contributors, tie)
 
 
 @dataclass(frozen=True)

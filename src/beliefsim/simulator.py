@@ -14,8 +14,8 @@ A run goes in four parts:
   and stream key tails, the truth of each proposition, the lattice
   digest, and each rule's voters (read from :func:`apply_rule`, since
   voters depend only on the step's lattice, the topology and the
-  receiver). The lattice computes one frontier per distinct visible set.
-  Each rule keeps one group per distinct voter set, a ``(voters,
+  receiver). Receivers with equal voters share one tuple, from the
+  lattice's memos; each rule keeps one group per tuple, a ``(voters,
   receivers)`` pair of int masks whose bit i is the step's agent i; the
   oracle uses these groups too. The plan holds no trace text.
   Validation builds the lattices once per command, after the CLI's flag
@@ -77,7 +77,7 @@ from .beliefs import (
 )
 from .errors import ConfigurationError, ValidationError
 from .features import Direction, Feature, FeatureSchema, FeatureVector
-from .lattice import DominanceLattice, build
+from .lattice import _JSON_BOOL, DominanceLattice, build
 from .rules import MAJORITY, MOST_EXPERT, Rule, RuleKind, _majority, apply_rule
 
 _Z95 = 1.96
@@ -276,9 +276,6 @@ class Trace:
     records: Sequence[TraceRecord]
 
 
-_JSON_BOOL = ("false", "true")
-
-
 def _bools(mask: int, n: int) -> Iterator[bool]:
     """Bits 0..n-1 of `mask` as bools, bit 0 first."""
     return map("1".__eq__, f"{mask:0{n}b}"[::-1])
@@ -373,8 +370,13 @@ class _RunRecords(Sequence):
             dict.fromkeys(props, rule_plan.contributors), maps(ties),
         )
 
-    def blocks(self, size: int) -> Iterator["_RunRecords"]:
-        """Views of `size` whole trials each, in trial order; the last may be shorter."""
+    def blocks(self) -> Iterator["_RunRecords"]:
+        """Views of TRACE_BLOCK whole trials, or fewer if their text would pass TRACE_BLOCK_BYTES."""
+        if not self._fixed:
+            self._fixed.extend(self._fixed_texts())
+        props = len(self._plan.propositions)  # a line: its fixed text and three maps of the agents
+        trial_bytes = sum(len(h) + len(c) + 3 * props * len(a) for a, fixed in self._fixed for h, c in fixed)
+        size = max(1, min(TRACE_BLOCK, TRACE_BLOCK_BYTES // trial_bytes))
         for start in range(0, len(self._trials), size):
             block = copy.copy(self)
             block._trials = self._trials[start : start + size]
@@ -452,21 +454,20 @@ class _RunRecords(Sequence):
         return "".join(parts)
 
 
-# Trials per block of trace_blocks. Writing the 2,000-trial intersection
-# trace takes 16-26 ms in 1-trial blocks and 12-16 ms in 16-trial blocks,
-# no less in larger ones, while a block's text (about 56 kB at 16 trials)
-# grows with it.
+# Trials and bytes of text per block of trace_blocks, at most, unless one trial is larger:
+# 16-trial blocks (56 kB) write intersection's trace fastest; a crowd-drift trial is 1.3 MB.
 TRACE_BLOCK = 16
+TRACE_BLOCK_BYTES = 2**20
 
 
 def trace_blocks(trace: Trace) -> Iterator[Trace]:
     """The trace as consecutive blocks whose ``trace_to_jsonl`` texts join to the whole.
 
-    A trace from :func:`run` comes in blocks of TRACE_BLOCK whole trials,
-    numbered as in the run; any other trace is one block.
+    A trace from :func:`run` comes in blocks of whole trials, numbered as in
+    the run (see ``_RunRecords.blocks``); any other trace is one block.
     """
     if isinstance(trace.records, _RunRecords):
-        yield from map(Trace, trace.records.blocks(TRACE_BLOCK))
+        yield from map(Trace, trace.records.blocks())
     else:
         yield trace
 
@@ -620,8 +621,8 @@ def compile_voters(
 ) -> dict[str, tuple[str, ...]]:
     """Each receiver's sorted voters under `rule` at `step`, in lattice order.
 
-    Voters never depend on beliefs, so they are read from apply_rule's
-    contributors over a placeholder profile; each distinct set is sorted once.
+    Voters never depend on beliefs, so they come from apply_rule's contributors over a
+    placeholder profile; each distinct set is sorted once, into one tuple its receivers share.
     """
     placeholder = BeliefProfile(step, "", {a: Belief(a, "", False) for a in lattice.real_ids})
     result = apply_rule(rule, lattice, placeholder, topology)
@@ -635,16 +636,15 @@ def _compile(scenario: Scenario, lattices: Sequence[DominanceLattice]) -> _Plan:
     steps = []
     for step, lattice in enumerate(lattices):
         agents = lattice.real_ids
-        bit = {agent_id: 1 << i for i, agent_id in enumerate(agents)}
         rules = []
         for rule in scenario.rules:
             voters = compile_voters(rule, lattice, scenario.topology, step)
-            # Receivers often share a voter set (under full broadcast, every
-            # receiver of majority or most-expert does): each is one group.
-            receivers: dict[tuple[str, ...], int] = {}  # voter set -> its receivers' mask
-            for a, v in voters.items():
-                receivers[v] = receivers.get(v, 0) | bit[a]
-            groups = tuple((sum(map(bit.__getitem__, v)), mask) for v, mask in receivers.items())
+            # Receivers often share a voter set (under full broadcast, every receiver
+            # of majority or most-expert does), and so one tuple: each is one group.
+            receivers: dict[int, list] = {}  # id of a voter tuple -> [tuple, receivers' mask]
+            for i, v in enumerate(voters.values()):  # receiver i is agents[i]
+                receivers.setdefault(id(v), [v, 0])[1] |= 1 << i
+            groups = tuple((lattice.mask_of(v), mask) for v, mask in receivers.values())
             rules.append(_RulePlan(rule.name, groups, voters))
         steps.append(
             _StepPlan(

@@ -5,10 +5,13 @@ The digests were recorded before the simulator compiled voter sets per
 shows here as a changed digest. The mixed-inputs case covers what no
 shipped scenario does (two propositions, piecewise-constant truth, a graph
 topology, drift); its digests were recorded before the run loop rendered
-trace lines from compact rows.
+trace lines from compact rows. The 200-agent cases check bytes at the scale
+where voter sets are large, under full broadcast and a graph topology.
 """
 
 import hashlib
+import json
+import random
 
 import pytest
 
@@ -138,3 +141,73 @@ def test_mixed_inputs_match_pinned_digests(tmp_path, capsys):
     assert main([*argv, "--out-dir", str(out)]) == 0
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in DATA_FILES}
     assert digests == MIXED_PINS
+
+
+def crowd_scenario(topology: str) -> str:
+    """A 200-agent scenario as JSON, which the YAML loader reads.
+
+    Three features on a 7-level grid keep dominance chains and ties common;
+    two agents drift at step 1 and two at step 2. The graph gives each agent
+    but the first 0-39 random sources, so the first hears no one. The
+    digests were recorded before voters were compiled from the lattice's
+    dominator masks, while every voter set still came from set operations.
+    """
+    rng = random.Random("crowd-pin")
+    ids = [f"c{i:03d}" for i in range(200)]
+    doc = {
+        "version": 1,
+        "name": f"crowd-{topology}",
+        "schema": [
+            {"name": "range", "direction": "larger_is_better", "unit": "m"},
+            {"name": "latency", "direction": "smaller_is_better", "unit": "ms"},
+            {"name": "resolution", "direction": "larger_is_better", "unit": "px"},
+        ],
+        "agents": {a: [float(rng.randrange(7)) for _ in range(3)] for a in ids},
+        "propositions": [{"id": "obstacle", "statement": "an obstacle blocks the lane"}],
+        "ground_truth": {"obstacle": True},
+        "error_model": {"kind": "quality_mapped", "p_min": 0.05, "p_max": 0.4},
+        "topology": {"mode": "full_broadcast"},
+        "drift": [
+            {"agent": a, "feature": rng.choice(["range", "latency", "resolution"]),
+             "step": step, "value": float(rng.randrange(7))}
+            for step in (1, 2)
+            for a in rng.sample(ids, 2)
+        ],
+        "rules": ["most-expert", "majority", "subgroup:d=2,self", "subgroup:d=3"],
+        "steps": 3,
+        "trials": 2,
+        "seed": 3,
+    }
+    if topology == "graph":
+        doc["topology"] = {
+            "mode": "graph",
+            "adjacency": {
+                a: sorted(rng.sample([b for b in ids if b != a], rng.randrange(40)))
+                for a in ids[1:]
+            },
+        }
+    return json.dumps(doc)
+
+
+CROWD_PINS = {
+    "full_broadcast": {
+        "trace.jsonl": "ae7e724afe984b9257417266ff8e9dafe0c2e773404e596dac6ccb6d1296b31b",
+        "metrics.json": "69bdb792e59a1385d2a5b7d96f942c77a52dbe88e579e7e7633d25f829c581b9",
+        "metrics.csv": "a5ed0b2f8e164c60f4b24f4329f36c1c14e9824cfc163236fd2ff1f7995e310e",
+    },
+    "graph": {
+        "trace.jsonl": "55a9e1e3a48e01ec01264be67fc8c0f063341f85a5054bc5be03ad9568498475",
+        "metrics.json": "50e6c0e6c4cea1149ed289cb75ea94fbd8446692279c8f61f54d2fd635092bcb",
+        "metrics.csv": "6a3a9920bf3b5fb98ca736052730bb718b27571f14f0b07b8080f6278a4c2e9b",
+    },
+}
+
+
+@pytest.mark.parametrize("topology", sorted(CROWD_PINS))
+def test_200_agents_match_pinned_digests(topology, tmp_path, capsys):
+    scenario = tmp_path / "crowd.scn"
+    scenario.write_text(crowd_scenario(topology), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(scenario), "--out-dir", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in DATA_FILES}
+    assert digests == CROWD_PINS[topology]

@@ -1,12 +1,16 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beliefsim import (
     BOTTOM_ID,
     TOP_ID,
     Comparison,
     Direction,
+    Feature,
+    FeatureSchema,
     FeatureVector,
     UnknownAgentError,
     ValidationError,
@@ -285,3 +289,53 @@ class TestSerialization:
         ids = [n["id"] for n in doc["nodes"]]
         assert ids == [BOTTOM_ID, TOP_ID, "s1", "s2", "s3", "s4"]
         assert doc["cover_edges"] == sorted(doc["cover_edges"])
+
+
+def _reference_snapshot(lattice) -> str:
+    """The snapshot as the json module's indent=2 encoder writes the document."""
+    doc = {
+        "format": "dominance-lattice/1",
+        "schema": [
+            {"name": f.name, "direction": f.direction.value, "unit": f.unit}
+            for f in lattice.schema.features
+        ],
+        "nodes": [
+            {"id": n.id, "virtual": n.virtual, "quality": list(n.quality.values)}
+            for n in lattice.nodes
+        ],
+        "cover_edges": [list(edge) for edge in lattice.cover_edges],
+    }
+    return json.dumps(doc, indent=2)
+
+
+# Escapes, control characters, non-ASCII and astral characters, or anything.
+_awkward_text = st.text(st.sampled_from('a"\\\n\t\x00\x1f\x7fé€😀 /') | st.characters())
+# Edge floats, integers (which FeatureVector turns into floats), or any finite float.
+_values = (
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1e16, 1e-7])
+    | st.integers(-(10**20), 10**20)
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    features=st.lists(
+        st.tuples(_awkward_text.filter(bool), st.sampled_from(Direction), _awkward_text),
+        min_size=1, max_size=3, unique_by=lambda f: f[0],
+    ),
+    data=st.data(),
+)
+def test_snapshot_text_equals_json_indent_2(features, data):
+    schema = FeatureSchema(tuple(Feature(*f) for f in features))
+    ids = data.draw(
+        st.lists(
+            _awkward_text.filter(lambda a: a and a not in (BOTTOM_ID, TOP_ID)),
+            max_size=6, unique=True,
+        )
+    )
+    agents = [
+        (agent_id, FeatureVector(tuple(data.draw(_values) for _ in features))) for agent_id in ids
+    ]
+    lattice = build(schema, agents)
+    assert lattice.snapshot_text() == _reference_snapshot(lattice)

@@ -340,3 +340,72 @@ def test_voter_without_belief_is_named(vote, intersection):
     profile = make_profile({"s2": True, "s3": False, "s4": False})
     with pytest.raises(UnknownAgentError, match="no belief for agent 's1'"):
         vote(intersection, profile, Topology.graph({"s4": ["s1"]}))
+
+
+# Behaviour on profiles that do not match the lattice, recorded before the
+# rules computed voters with the lattice's masks. `extra` holds two agents the
+# lattice lacks, `partial` only two of its four. Each entry maps a receiver to
+# (value, contributors, tie_broken), or holds the error message.
+EDGE_TOPOLOGIES = {
+    "full": Topology.full_broadcast(),
+    "graph": Topology.graph({"s4": ["x", "s2"], "s2": ["s1", "y"], "s3": ["y"]}),
+}
+EDGE_CASES = {
+    ("full", "most-expert"): "unknown agent 'x'",
+    ("full", "majority"): {r: (True, "s1 s2 s3 s4 x y", False) for r in ("s1", "s2", "s3", "s4")},
+    ("full", "subgroup:d=1"): {r: (False, "s1", False) for r in ("s1", "s2", "s3", "s4")},
+    ("full", "subgroup:d=2"): {
+        "s1": (False, "s1", False), "s2": (False, "s1", False),
+        "s3": (False, "s1", False), "s4": (True, "s1 s2 s3", False),
+    },
+    ("full", "subgroup:d=2,self"): {
+        "s1": (False, "s1", False), "s2": (True, "s1 s2", True),
+        "s3": (True, "s1 s3", True), "s4": (False, "s1 s2 s3 s4", True),
+    },
+    ("full", "subgroup:d=3"): {
+        "s1": (False, "s1", False), "s2": (False, "s1", False),
+        "s3": (False, "s1", False), "s4": (True, "s1 s2 s3", False),
+    },
+    ("graph", "most-expert"): "unknown agent 'y'",  # s2 is the first receiver to see one
+    ("graph", "majority"): {
+        "s1": (False, "s1", False), "s2": (True, "s1 s2 y", False),
+        "s3": (True, "s3 y", False), "s4": (True, "s2 s4 x", False),
+    },
+    ("graph", "subgroup:d=1"): {
+        "s1": (False, "s1", False), "s2": (False, "s1", False),
+        "s3": (True, "s3", False), "s4": (True, "s2", False),
+    },
+    ("graph", "subgroup:d=2,self"): {
+        "s1": (False, "s1", False), "s2": (True, "s1 s2", True),
+        "s3": (True, "s3", False), "s4": (False, "s2 s4", True),
+    },
+    ("graph", "subgroup:d=3"): {
+        "s1": (False, "s1", False), "s2": (False, "s1", False),
+        "s3": (True, "s3", False), "s4": (True, "s2", False),
+    },
+}
+
+
+@pytest.mark.parametrize("topology,rule", sorted(EDGE_CASES))
+def test_profile_with_agents_the_lattice_lacks(topology, rule, intersection):
+    profile = make_profile({"s1": False, "s2": True, "s3": True, "s4": False, "y": True, "x": True})
+    expected = EDGE_CASES[topology, rule]
+    if isinstance(expected, str):
+        with pytest.raises(UnknownAgentError, match=f"^{expected}$"):
+            apply_rule(parse_rule(rule), intersection, profile, EDGE_TOPOLOGIES[topology])
+        return
+    result = apply_rule(parse_rule(rule), intersection, profile, EDGE_TOPOLOGIES[topology])
+    assert {
+        r: (result.propagated[r], " ".join(sorted(result.contributors[r])), result.tie_broken[r])
+        for r in intersection.real_ids
+    } == expected
+
+
+@pytest.mark.parametrize("topology", sorted(EDGE_TOPOLOGIES))
+@pytest.mark.parametrize(
+    "rule", ["most-expert", "majority", "subgroup:d=1", "subgroup:d=2,self", "subgroup:d=3"]
+)
+def test_partial_profile_names_first_missing_receiver(topology, rule, intersection):
+    profile = make_profile({"s2": True, "s3": False})
+    with pytest.raises(UnknownAgentError, match="^unknown receiver 's1'$"):
+        apply_rule(parse_rule(rule), intersection, profile, EDGE_TOPOLOGIES[topology])

@@ -18,7 +18,7 @@ from beliefsim.cli import main
 from beliefsim.scenario_io import read_scenario
 from beliefsim.simulator import TRACE_BLOCK, trace_blocks
 
-from test_byte_pins import MIXED_SCENARIO
+from test_byte_pins import MIXED_SCENARIO, crowd_scenario
 
 
 @pytest.fixture
@@ -85,6 +85,23 @@ def test_writing_the_trace_holds_no_whole_copy(scenario_dir, tmp_path, capsys):
     tracemalloc.start()
     try:
         _run_cli(scenario_dir / "intersection.scn", 2000, tmp_path / "out", "--seed", "42")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_a_block_of_200_agent_trials_is_capped_by_size(tmp_path, capsys):
+    # A 200-agent trial here renders about 360 kB, so 16-trial blocks held
+    # about 5.8 MB of text beside its encoded copy: a tracemalloc peak of
+    # 11.7 MB. Blocks capped near TRACE_BLOCK_BYTES peak at about 2 MB.
+    doc = json.loads(crowd_scenario("full_broadcast"))
+    doc.update(steps=1, drift=[])
+    scenario = tmp_path / "crowd.scn"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        _run_cli(scenario, 2 * TRACE_BLOCK + 1, tmp_path / "out")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
