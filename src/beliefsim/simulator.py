@@ -12,12 +12,12 @@ A run goes in four parts:
 - **Plan.** Before the first trial, each step is compiled once into a
   vote plan: the agents in lattice order, each agent's error probability
   and stream key tails, the truth of each proposition, the lattice
-  digest, and each rule's voters (read from :func:`apply_rule`, since
-  voters depend only on the step's lattice, the topology and the
-  receiver). Receivers with equal voters share one tuple, from the
-  lattice's memos; each rule keeps one group per tuple, a ``(voters,
-  receivers)`` pair of int masks whose bit i is the step's agent i; the
-  oracle uses these groups too. The plan holds no trace text.
+  digest, and each rule's voters: :func:`apply_rule`'s contributors over
+  one placeholder profile per step, as voters depend only on the lattice,
+  the topology and the receiver. Receivers are grouped by voter set, one
+  ``(voters, receivers)`` pair of int masks per distinct set (bit i is the
+  step's agent i), and share that set's sorted tuple. The oracle uses these
+  groups too. The plan holds no trace text.
   Validation builds the lattices once per command, after the CLI's flag
   overrides.
 - **Rows.** A trial encodes its stream key head once and draws every
@@ -56,7 +56,6 @@ from __future__ import annotations
 import copy
 import json
 import math
-import operator
 from collections import Counter
 from collections.abc import Hashable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
@@ -323,9 +322,10 @@ class _RunRecords(Sequence):
     A trial's row holds, per step, one raw mask per proposition, bit i set
     when the step's agent i believes it. The outcomes of every raw row are
     in its step's memo, which holds exactly the run's distinct raw rows.
-    `uses` counts the trials that have each (step, raw row). The views that
-    :meth:`blocks` returns share the run's rows, these counts and the text
-    rendered so far.
+    `uses` counts the trials that have each (step, raw row); a rendering
+    counts down its own copy, refilled when it starts at trial 0. The views
+    that :meth:`blocks` returns share the run's rows, these counts and the
+    text rendered so far.
     """
 
     def __init__(
@@ -334,7 +334,8 @@ class _RunRecords(Sequence):
         self._plan = plan
         self._rows = rows  # per trial of the whole run
         self._trials = range(len(rows))  # the trials of this view
-        self._uses = uses  # (step, raw) -> rows of it not yet rendered
+        self._uses = uses  # (step, raw) -> the run's rows of it
+        self._left = dict(uses)  # (step, raw) -> its rows this rendering has yet to render
         self._tails: dict = {}  # (step, raw) -> each rule's line tail, while rows still need it
         self._fixed: list = []  # per step: its agents' template and each rule's fixed text
         self._props_template = _template(plan.propositions)
@@ -345,13 +346,12 @@ class _RunRecords(Sequence):
         return len(self._trials) * self._per_trial
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(*index.indices(len(self))))
-        position = operator.index(index)
-        if position < 0:
-            position += len(self)
-        if not 0 <= position < len(self):
-            raise IndexError(f"trace record index {index} out of range")
+        try:
+            position = range(len(self))[index]
+        except IndexError:
+            raise IndexError(f"trace record index {index} out of range") from None
+        if isinstance(position, range):
+            return tuple(map(self.__getitem__, position))
         at, rest = divmod(position, self._per_trial)
         trial = self._trials[at]
         step, rule = divmod(rest, self._rules)
@@ -436,7 +436,9 @@ class _RunRecords(Sequence):
         and dropped after the last row that needs them, so the text kept
         between blocks is only what later trials repeat.
         """
-        tails, uses = self._tails, self._uses
+        tails, left = self._tails, self._left
+        if 0 in self._trials:  # a rendering starts: count each row's uses down afresh
+            left.update(self._uses)
         parts = []
         for trial in self._trials:
             trial_text = '{"trial":' + str(trial)
@@ -444,8 +446,8 @@ class _RunRecords(Sequence):
                 lines = tails.get(key)
                 if lines is None:
                     lines = tails[key] = self._render(*key)
-                uses[key] -= 1
-                if not uses[key]:
+                left[key] -= 1
+                if left[key] <= 0:
                     del tails[key]
                 for tail in lines:
                     parts += (trial_text, tail)
@@ -616,36 +618,25 @@ def _tally(points: Counter, scenario: Scenario) -> Metrics:
     return Metrics(rule_metrics, agent_accuracy, contradiction_rates, scenario.trials, scenario.steps)
 
 
-def compile_voters(
-    rule: Rule, lattice: DominanceLattice, topology: Topology, step: int
-) -> dict[str, tuple[str, ...]]:
-    """Each receiver's sorted voters under `rule` at `step`, in lattice order.
-
-    Voters never depend on beliefs, so they come from apply_rule's contributors over a
-    placeholder profile; each distinct set is sorted once, into one tuple its receivers share.
-    """
-    placeholder = BeliefProfile(step, "", {a: Belief(a, "", False) for a in lattice.real_ids})
-    result = apply_rule(rule, lattice, placeholder, topology)
-    ordered = {v: tuple(sorted(v)) for v in set(result.contributors.values())}
-    return {a: ordered[result.contributors[a]] for a in lattice.real_ids}
-
-
 def _compile(scenario: Scenario, lattices: Sequence[DominanceLattice]) -> _Plan:
     """The per-step vote plan: agents, error probabilities, truth, key tails, voters."""
     props = tuple(p.id for p in scenario.propositions)
     steps = []
     for step, lattice in enumerate(lattices):
         agents = lattice.real_ids
+        # Voters never depend on beliefs: apply_rule's contributors over any profile give them.
+        placeholder = BeliefProfile(step, "", {a: Belief(a, "", False) for a in agents})
         rules = []
         for rule in scenario.rules:
-            voters = compile_voters(rule, lattice, scenario.topology, step)
+            contributors = apply_rule(rule, lattice, placeholder, scenario.topology).contributors
             # Receivers often share a voter set (under full broadcast, every receiver
-            # of majority or most-expert does), and so one tuple: each is one group.
-            receivers: dict[int, list] = {}  # id of a voter tuple -> [tuple, receivers' mask]
-            for i, v in enumerate(voters.values()):  # receiver i is agents[i]
-                receivers.setdefault(id(v), [v, 0])[1] |= 1 << i
-            groups = tuple((lattice.mask_of(v), mask) for v, mask in receivers.values())
-            rules.append(_RulePlan(rule.name, groups, voters))
+            # of majority or most-expert does): each distinct set is one group.
+            receivers: dict[frozenset[str], int] = {}  # voter set -> its receivers' mask
+            for i, voters in enumerate(contributors.values()):  # receiver i is agents[i]
+                receivers[voters] = receivers.get(voters, 0) | (1 << i)
+            ordered = {voters: tuple(sorted(voters)) for voters in receivers}  # shared per set
+            groups = tuple((lattice.mask_of(v), mask) for v, mask in receivers.items())
+            rules.append(_RulePlan(rule.name, groups, {a: ordered[v] for a, v in contributors.items()}))
         steps.append(
             _StepPlan(
                 lattice.digest(),

@@ -31,7 +31,7 @@ from beliefsim import (
 )
 from beliefsim.beliefs import TopologyMode
 from beliefsim.rules import MAJORITY, MOST_EXPERT, RuleKind
-from beliefsim.simulator import RuleMetrics, compile_voters, validate_scenario
+from beliefsim.simulator import RuleMetrics, validate_scenario
 
 
 def make_schema(directions, unit=""):
@@ -99,6 +99,12 @@ def brute_voters(rule, schema, agents, topology):
                     remaining -= layer
         result[receiver] = tuple(sorted(voters))
     return result
+
+
+def step0_voters(rule, scenario, lattice):
+    """brute_voters over the qualities of step 0, whose lattice is `lattice`."""
+    agents = [(a, lattice.quality_of(a)) for a in lattice.real_ids]
+    return brute_voters(rule, scenario.schema, agents, scenario.topology)
 
 
 def reachable_real(lattice):
@@ -218,7 +224,8 @@ def matrix_rule_accuracy(scenario: Scenario) -> dict[str, float]:
     """Exact rule accuracy by the boolean-matrix enumeration.
 
     The kernel exact_rule_accuracy used before it voted by popcount over
-    bit-mask outcomes; kept as an independent reference for it. Only for
+    bit-mask outcomes; kept as an independent reference for it. Voters come
+    from brute_voters, so it shares no voter code with the oracle. Only for
     scenarios inside the oracle's domain (no domain checks here).
     """
     lattice = validate_scenario(scenario)[0]
@@ -239,7 +246,7 @@ def matrix_rule_accuracy(scenario: Scenario) -> dict[str, float]:
 
     accuracies: dict[str, float] = {}
     for rule in scenario.rules:
-        voters = compile_voters(rule, lattice, scenario.topology, 0)
+        voters = step0_voters(rule, scenario, lattice)
         receiver_correct = np.zeros((2**n, n), dtype=bool)
         for r, receiver in enumerate(agents):
             cols = [index[v] for v in voters[receiver]]
@@ -257,10 +264,10 @@ def poisson_binomial_rule_accuracy(scenario: Scenario) -> dict[str, float]:
     """Exact rule accuracy per receiver from the distribution of correct votes.
 
     Pure Python and linear in the voters per receiver, so it reaches the
-    oracle's 20-agent cap cheaply. A receiver is right when more than half
-    of its m voters are right, or on an exact tie when its own observation
-    is right; when it votes itself, the tie needs m/2 - 1 right among the
-    others and its own observation right.
+    oracle's 20-agent cap cheaply; voters come from brute_voters. A receiver
+    is right when more than half of its m voters are right, or on an exact
+    tie when its own observation is right; when it votes itself, the tie
+    needs m/2 - 1 right among the others and its own observation right.
     """
     lattice = validate_scenario(scenario)[0]
     agents = lattice.real_ids
@@ -279,7 +286,7 @@ def poisson_binomial_rule_accuracy(scenario: Scenario) -> dict[str, float]:
 
     accuracies: dict[str, float] = {}
     for rule in scenario.rules:
-        voters = compile_voters(rule, lattice, scenario.topology, 0)
+        voters = step0_voters(rule, scenario, lattice)
         total = 0.0
         for receiver in agents:
             m = len(voters[receiver])

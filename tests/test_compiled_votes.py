@@ -1,10 +1,11 @@
-"""Compiled voter sets against the per-profile rule path.
+"""The compiled vote plan against the per-profile rule path.
 
 The simulator reads each receiver's voters once per (step, rule) and
 votes every trial over them. That rests on one property: apply_rule's
 contributors never depend on the belief profile. These tests check the
-property, that the compiled vote reproduces apply_rule exactly, and that
-the compiled voters equal a brute-force reference over plain sets.
+property, that a vote over the plan's voters reproduces apply_rule
+exactly, and that the plan's voters and groups equal a brute-force
+reference over plain sets.
 """
 
 import random
@@ -25,7 +26,7 @@ from beliefsim import (
     run,
 )
 from beliefsim.rules import MAJORITY, MOST_EXPERT, _vote, apply_rule
-from beliefsim.simulator import compile_voters, lattices_by_step
+from beliefsim.simulator import _compile, lattices_by_step
 
 from support import brute_voters, make_profile, random_population, simple_scenario
 
@@ -54,6 +55,16 @@ def rule_cases(draw):
     return lattice, topology, draw(st.sampled_from(RULES)), step, profiles
 
 
+def compiled_rule(rule, lattice, topology, step):
+    """`rule`'s plan at `step` of a one-rule scenario whose every step has `lattice`."""
+    ids = lattice.real_ids
+    scenario = simple_scenario(
+        lattice.schema, [(a, lattice.quality_of(a)) for a in ids], dict.fromkeys(ids, 0.5),
+        rules=[rule], steps=step + 1, topology=topology,
+    )
+    return _compile(scenario, [lattice] * (step + 1)).steps[step].rules[0]
+
+
 @given(rule_cases())
 def test_contributors_do_not_depend_on_beliefs(case):
     lattice, topology, rule, _, (first, second) = case
@@ -66,7 +77,7 @@ def test_contributors_do_not_depend_on_beliefs(case):
 @given(rule_cases())
 def test_compiled_vote_equals_apply_rule(case):
     lattice, topology, rule, step, profiles = case
-    voters = compile_voters(rule, lattice, topology, step)
+    voters = compiled_rule(rule, lattice, topology, step).contributors
     assert list(voters) == list(lattice.real_ids)
     for profile in profiles:
         result = apply_rule(rule, lattice, profile, topology)
@@ -84,14 +95,27 @@ def test_compiled_vote_equals_apply_rule(case):
 def test_compiled_voters_equal_brute_force_reference(case, rng):
     lattice, _, _, step, _ = case
     ids = lattice.real_ids
+    bit = {a: 1 << i for i, a in enumerate(ids)}
     agents = [(a, lattice.quality_of(a)) for a in ids]
     graph = Topology.graph({a: rng.sample(ids, rng.randint(0, len(ids))) for a in ids})
     for topology in (Topology.full_broadcast(), graph):
         for rule in RULES:
             expected = brute_voters(rule, lattice.schema, agents, topology)
-            assert compile_voters(rule, lattice, topology, step) == expected
+            plan = compiled_rule(rule, lattice, topology, step)
+            assert plan.contributors == expected
             # the frontiers memoised by the first call give the same voters
-            assert compile_voters(rule, lattice, topology, step) == expected
+            assert compiled_rule(rule, lattice, topology, step).contributors == expected
+            # one group per distinct voter set; the groups' receivers partition the agents,
+            # and each receiver's voters, as a mask, are its group's voters
+            assert len({voters for voters, _ in plan.groups}) == len(plan.groups)
+            covered = 0
+            for voters, receivers in plan.groups:
+                assert receivers and not receivers & covered
+                covered |= receivers
+                for a in ids:
+                    if receivers & bit[a]:
+                        assert voters == sum(map(bit.__getitem__, plan.contributors[a]))
+            assert covered == (1 << len(ids)) - 1
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -50,6 +50,7 @@ def test_streamed_trace_equals_whole_and_record_renderings(trials, mixed, tmp_pa
         json.dumps(record.to_dict(), separators=(",", ":")) + "\n" for record in trace.records
     )
     assert streamed == whole == again == reference
+    assert not trace.records._tails
 
 
 def test_blocks_render_each_row_once_and_keep_no_tail(scenario_dir, monkeypatch):
