@@ -56,7 +56,7 @@ class Rule:
 MOST_EXPERT = Rule(RuleKind.MOST_EXPERT)
 MAJORITY = Rule(RuleKind.MAJORITY)
 
-_SUBGROUP_RE = re.compile(r"^subgroup:d=(\d+)(,self)?$")
+_SUBGROUP_RE = re.compile(r"subgroup:d=(0|[1-9][0-9]*)(,self)?")  # only what Rule.name prints
 
 
 def parse_rule(text: str) -> Rule:
@@ -65,7 +65,7 @@ def parse_rule(text: str) -> Rule:
         return MOST_EXPERT
     if text == "majority":
         return MAJORITY
-    match = _SUBGROUP_RE.match(text)
+    match = _SUBGROUP_RE.fullmatch(text)
     if match:
         return Rule(RuleKind.SUBGROUP_EXPERT, int(match.group(1)), bool(match.group(2)))
     raise ValidationError(

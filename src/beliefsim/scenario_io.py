@@ -12,8 +12,9 @@ shipped example files and the programmatic builders in lockstep.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 import yaml
 
@@ -50,6 +51,15 @@ class _Loader(_UniqueKeys, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
 
 def _fail(path: str, message: str) -> ValidationError:
     return ValidationError(f"{path}: {message}" if path else message)
+
+
+@contextmanager
+def _at(path: str) -> Iterator[None]:
+    """A constructor's ValidationError, raised again with the key path of its input."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise _fail(path, str(exc)) from None
 
 
 def _check_keys(mapping: Mapping[str, Any], path: str, allowed: set[str], required: set[str]) -> None:
@@ -120,10 +130,8 @@ def _parse_agents(data: Any, schema: FeatureSchema) -> tuple[tuple[str, FeatureV
         if not isinstance(values, list) or len(values) != schema.dimension:
             raise _fail(path, f"expected {schema.dimension} feature values")
         vec = tuple(_as_number(v, f"{path}[{i}]") for i, v in enumerate(values))
-        try:
+        with _at(path):
             agents.append((agent_id, FeatureVector(vec)))
-        except ValidationError as exc:
-            raise _fail(path, str(exc)) from None
     return tuple(agents)
 
 
@@ -163,10 +171,8 @@ def _parse_ground_truth(data: Any) -> dict[str, GroundTruthSchedule]:
                     _as_bool(item["value"], f"{entry_path}.value"),
                 )
             )
-        try:
+        with _at(path):
             schedules[prop_id] = GroundTruthSchedule(prop_id, tuple(entries))
-        except ValidationError as exc:
-            raise _fail(path, str(exc)) from None
     return schedules
 
 
@@ -183,20 +189,15 @@ def _parse_error_model(data: Any) -> ErrorModel:
             agent: _as_number(p, f"error_model.probabilities.{agent}")
             for agent, p in probs.items()
         }
-        try:
+        with _at("error_model.probabilities"):
             return ErrorModel.fixed(parsed)
-        except ValidationError as exc:
-            raise _fail("error_model.probabilities", str(exc)) from None
     if kind == "quality_mapped":
         keys = {"kind", "p_min", "p_max"}
         _check_keys(data, "error_model", keys, keys)
-        try:
-            return ErrorModel.quality_mapped(
-                _as_number(data["p_min"], "error_model.p_min"),
-                _as_number(data["p_max"], "error_model.p_max"),
-            )
-        except ValidationError as exc:
-            raise _fail("error_model", str(exc)) from None
+        p_min = _as_number(data["p_min"], "error_model.p_min")
+        p_max = _as_number(data["p_max"], "error_model.p_max")
+        with _at("error_model"):
+            return ErrorModel.quality_mapped(p_min, p_max)
     raise _fail("error_model.kind", f"expected per_agent_fixed or quality_mapped, got {kind!r}")
 
 
@@ -236,10 +237,8 @@ def _parse_drift(data: Any) -> tuple[DriftEvent, ...]:
         step = _as_int(entry["step"], f"{path}.step")
         delta = _as_number(entry["delta"], f"{path}.delta") if "delta" in entry else None
         value = _as_number(entry["value"], f"{path}.value") if "value" in entry else None
-        try:
+        with _at(path):
             events.append(DriftEvent(agent, feature, step, delta=delta, value=value))
-        except ValidationError as exc:
-            raise _fail(path, str(exc)) from None
     return tuple(events)
 
 
@@ -287,10 +286,8 @@ def _parse(data: Any, default_name: str) -> Scenario:
     for i, text in enumerate(rules_data):
         if not isinstance(text, str):
             raise _fail(f"rules[{i}]", f"expected a string, got {text!r}")
-        try:
+        with _at(f"rules[{i}]"):
             rules.append(parse_rule(text))
-        except ValidationError as exc:
-            raise _fail(f"rules[{i}]", str(exc)) from None
 
     return Scenario(
         schema=schema,

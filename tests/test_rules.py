@@ -58,10 +58,30 @@ class TestParseRule:
         assert rule == expected
         assert rule.name == text
 
-    @pytest.mark.parametrize("bad", ["expert", "subgroup", "subgroup:d=0", "subgroup:d=x", ""])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "expert", "subgroup", "subgroup:d=0", "subgroup:d=x", "",
+            # spellings Rule.name never prints
+            "subgroup:d=01", "subgroup:d=\u0663", "subgroup:d=1\n",
+        ],
+    )
     def test_rejects_garbage(self, bad):
         with pytest.raises(ValidationError):
             parse_rule(bad)
+
+    def test_depth_zero_keeps_the_depth_message(self):
+        with pytest.raises(ValidationError, match="depth must be >= 1, got 0"):
+            parse_rule("subgroup:d=0")
+
+    @pytest.mark.parametrize(
+        "rule",
+        [Rule(RuleKind.MOST_EXPERT), Rule(RuleKind.MAJORITY)]
+        + [Rule(RuleKind.SUBGROUP_EXPERT, d, s) for d in (1, 2, 10) for s in (False, True)],
+        ids=lambda rule: rule.name,
+    )
+    def test_every_name_parses_back(self, rule):
+        assert parse_rule(rule.name) == rule
 
 
 class TestMostExpert:

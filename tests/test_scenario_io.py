@@ -202,6 +202,10 @@ DRIFT = {"agent": "s1", "feature": "distance", "step": 0}
         ({"error_model": {**FIXED, "p_min": 0.1}}, "error_model.p_min"),
         ({"error_model": {"kind": "per_agent_fixed"}}, "error_model"),
         ({"error_model": {"kind": "quality_mapped", "p_min": 0.05}}, "error_model"),
+        (
+            {"error_model": {"kind": "quality_mapped", "p_min": "x", "p_max": 0.35}},
+            "error_model.p_min: expected a number",
+        ),
         ({"topology": {"mode": "full_broadcast", "adjacency": {}}}, "topology.adjacency"),
         ({"drift": [{**DRIFT, "delta": 1.0, "value": 2.0}]}, "drift[0]"),
         ({"drift": [{**DRIFT, "step": -1, "delta": 1.0}]}, "drift[0]"),
@@ -227,6 +231,7 @@ DRIFT = {"agent": "s1", "feature": "distance", "step": 0}
     ],
     ids=[
         "fixed-with-p_min", "fixed-without-probabilities", "quality-without-p_max",
+        "quality-p_min-not-a-number",
         "broadcast-with-adjacency", "drift-delta-and-value", "drift-step-negative",
         "truth-from-negative-step", "truth-empty-list", "truth-undeclared", "probability-unknown-agent",
         "topology-unknown-receiver", "topology-unknown-source", "drift-non-finite",

@@ -30,8 +30,11 @@ from beliefsim import (
 )
 from beliefsim import simulator
 from beliefsim.rules import MAJORITY, MOST_EXPERT
+from beliefsim.scenario_io import parse_scenario, read_scenario
+from beliefsim.simulator import trace_blocks
 
 from support import make_schema, random_population, simple_scenario
+from test_byte_pins import crowd_scenario
 
 S = Direction.SMALLER_IS_BETTER
 
@@ -496,6 +499,17 @@ class TestTraceSerialization:
                 "tie_broken",
             ]
 
+    def test_blocks_are_sized_by_bytes_alone(self, scenario_dir):
+        # blocks() estimates an intersection trial at 2,442 bytes, so 26 trials fill 2**16.
+        scenario = replace(read_scenario(scenario_dir / "intersection.scn"), trials=2000, seed=42)
+        trace = run(scenario)[0]
+        sizes = [len(block.records) // 9 for block in trace_blocks(trace)]
+        assert sizes == [26] * 76 + [24]
+        # A 200-agent trial passes the cap alone, so it is its own block.
+        crowd = replace(parse_scenario(json.loads(crowd_scenario("full_broadcast"))), trials=2)
+        per_trial = crowd.steps * len(crowd.rules)
+        assert [len(block.records) for block in trace_blocks(run(crowd)[0])] == [per_trial] * 2
+
     def _two_trial_text(self):
         return trace_to_jsonl(run(replace(build_intersection_scenario(), trials=2))[0])
 
@@ -505,6 +519,16 @@ class TestTraceSerialization:
         cut = text[: text.index(third) + len(third) // 2]  # line 3 cut mid-record
         with pytest.raises(ValidationError, match="trace line 3: not valid JSON"):
             trace_from_jsonl(cut)
+
+    @pytest.mark.parametrize("separator", ["\x0c", "\x1c", "\x85", "\v", "\u2028"])
+    def test_records_end_at_newline_only(self, separator):
+        text = self._two_trial_text().replace("\n", separator)
+        with pytest.raises(ValidationError, match="trace line 1: not valid JSON"):
+            trace_from_jsonl(text)
+
+    def test_crlf_lines_give_the_same_records(self):
+        text = self._two_trial_text()
+        assert trace_from_jsonl(text.replace("\n", "\r\n")) == trace_from_jsonl(text)
 
     def test_record_without_raw_is_named(self):
         lines = self._two_trial_text().splitlines()

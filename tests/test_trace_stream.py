@@ -12,13 +12,24 @@ import tracemalloc
 from dataclasses import replace
 
 import pytest
+import yaml
 
 from beliefsim import run, simulator, trace_to_jsonl
 from beliefsim.cli import main
-from beliefsim.scenario_io import read_scenario
-from beliefsim.simulator import TRACE_BLOCK, trace_blocks
+from beliefsim.scenario_io import parse_scenario, read_scenario
+from beliefsim.simulator import trace_blocks
 
 from test_byte_pins import MIXED_SCENARIO, crowd_scenario
+
+
+def _mixed_block() -> int:
+    """The trials in a full block of the mixed scenario's trace, as trace_blocks cuts it."""
+    scenario = replace(parse_scenario(yaml.safe_load(MIXED_SCENARIO)), trials=100)
+    first = next(trace_blocks(run(scenario)[0]))
+    return len(first.records) // (scenario.steps * len(scenario.rules))
+
+
+BLOCK = _mixed_block()
 
 
 @pytest.fixture
@@ -36,7 +47,7 @@ def _run_cli(scenario, trials, out, *flags):
 
 @pytest.mark.parametrize(
     "trials",
-    sorted({1, max(TRACE_BLOCK - 1, 1), TRACE_BLOCK, TRACE_BLOCK + 1, 2 * TRACE_BLOCK + 1}),
+    sorted({1, max(BLOCK - 1, 1), BLOCK, BLOCK + 1, 2 * BLOCK + 1}),
 )
 def test_streamed_trace_equals_whole_and_record_renderings(trials, mixed, tmp_path, capsys):
     out = _run_cli(mixed, trials, tmp_path / "out")
@@ -73,10 +84,10 @@ def test_blocks_render_each_row_once_and_keep_no_tail(scenario_dir, monkeypatch)
 
 
 def test_manifest_counts_the_written_trace(mixed, tmp_path, capsys):
-    out = _run_cli(mixed, 2 * TRACE_BLOCK + 1, tmp_path / "out")
+    out = _run_cli(mixed, 2 * BLOCK + 1, tmp_path / "out")
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     trace = (out / "trace.jsonl").read_bytes()
-    assert manifest["records"] == trace.count(b"\n") == (2 * TRACE_BLOCK + 1) * 4 * 3
+    assert manifest["records"] == trace.count(b"\n") == (2 * BLOCK + 1) * 4 * 3
     assert manifest["trace_bytes"] == len(trace)
 
 
@@ -93,16 +104,16 @@ def test_writing_the_trace_holds_no_whole_copy(scenario_dir, tmp_path, capsys):
 
 
 def test_a_block_of_200_agent_trials_is_capped_by_size(tmp_path, capsys):
-    # A 200-agent trial here renders about 360 kB, so 16-trial blocks held
-    # about 5.8 MB of text beside its encoded copy: a tracemalloc peak of
-    # 11.7 MB. Blocks capped near TRACE_BLOCK_BYTES peak at about 2 MB.
+    # A 200-agent trial here renders about 360 kB, so blocks of BLOCK trials
+    # would hold about 2.9 MB of text beside its encoded copy. Blocks capped
+    # near TRACE_BLOCK_BYTES hold one trial each.
     doc = json.loads(crowd_scenario("full_broadcast"))
     doc.update(steps=1, drift=[])
     scenario = tmp_path / "crowd.scn"
     scenario.write_text(json.dumps(doc), encoding="utf-8")
     tracemalloc.start()
     try:
-        _run_cli(scenario, 2 * TRACE_BLOCK + 1, tmp_path / "out")
+        _run_cli(scenario, 2 * BLOCK + 1, tmp_path / "out")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
