@@ -45,9 +45,11 @@ def _run_cli(scenario, trials, out, *flags):
     return out
 
 
+# 33 trials is a fixed many-block case: it spans several blocks whatever size
+# trace_blocks cuts, so the run is checked past the first two boundaries too.
 @pytest.mark.parametrize(
     "trials",
-    sorted({1, max(BLOCK - 1, 1), BLOCK, BLOCK + 1, 2 * BLOCK + 1}),
+    sorted({1, max(BLOCK - 1, 1), BLOCK, BLOCK + 1, 2 * BLOCK + 1, 33}),
 )
 def test_streamed_trace_equals_whole_and_record_renderings(trials, mixed, tmp_path, capsys):
     out = _run_cli(mixed, trials, tmp_path / "out")
