@@ -23,8 +23,9 @@ accuracy.
 That sum uses no threads, so the printed digits do not depend on the BLAS
 thread count. The enumeration keeps about 13 bytes per outcome (uint32
 index, float64 weight, uint8 count), against about 100 for boolean
-outcome-by-agent matrices; reused scratch, one float64 array of shares
-included, adds 15 at peak.
+outcome-by-agent matrices. One rule's temporaries, its float64 shares
+the largest, add at most about 9 and are freed before the next rule
+runs: under tracemalloc, 20 agents and 4 rules peak at 22.1 MiB.
 
 All rules here are value-symmetric (they aggregate agreement, not the
 truth value itself), so accuracy is independent of the truth value and of
@@ -85,30 +86,20 @@ def exact_rule_accuracy(scenario: Scenario) -> dict[str, float]:
         np.multiply(weight[:h], 1.0 - p, out=weight[h : 2 * h])
         weight[:h] *= p
 
-    masked = np.empty(2**n, dtype=np.uint32)
-    votes = np.empty(2**n, dtype=np.uint8)
-    right = np.empty(2**n, dtype=np.uint8)
-    decided = np.empty(2**n, dtype=bool)
-    shares = np.empty(2**n, dtype=float)
-    accuracies: dict[str, float] = {}
-    for rule in plan.rules:
-        # count[k]: receivers right in outcome k; n <= MAX_ORACLE_AGENTS fits uint8
-        count = np.zeros(2**n, dtype=np.uint8)
-        for voters, receivers in rule.groups:
-            half, odd = divmod(voters.bit_count(), 2)
-            np.bitwise_and(outcomes, voters, out=masked)
-            np.bitwise_count(masked, out=votes)
-            np.greater(votes, half, out=decided)
-            np.multiply(decided, np.uint8(receivers.bit_count()), out=right)
-            count += right
-            if not odd:
-                # a tie leaves each receiver with its own observation
-                np.equal(votes, half, out=decided)
-                np.bitwise_and(outcomes, receivers, out=masked)
-                np.bitwise_count(masked, out=right)
-                np.multiply(right, decided, out=right)
-                count += right
-        np.divide(count, n, out=shares)
-        shares *= weight
-        accuracies[rule.name] = float(shares.sum())
-    return accuracies
+    return {rule.name: _accuracy(rule.groups, outcomes, weight, n) for rule in plan.rules}
+
+
+def _accuracy(groups, outcomes: np.ndarray, weight: np.ndarray, n: int) -> float:
+    """One rule's accuracy; its 2^n temporaries die when it returns, before the next rule's."""
+    # count[k]: receivers right in outcome k; n <= MAX_ORACLE_AGENTS fits uint8
+    count = np.zeros(2**n, dtype=np.uint8)
+    for voters, receivers in groups:
+        half, odd = divmod(voters.bit_count(), 2)
+        votes = np.bitwise_count(outcomes & voters)
+        count += (votes > half) * np.uint8(receivers.bit_count())
+        if not odd:
+            # a tie leaves each receiver with its own observation
+            count += (votes == half) * np.bitwise_count(outcomes & receivers)
+    shares = count / n
+    shares *= weight
+    return float(shares.sum())

@@ -39,12 +39,13 @@ A run goes in four parts:
   plus ``json.dumps`` give. The renderer owns the line format: once per
   run, it builds each (step, rule)'s fixed text once, and each entry of a
   step's memo renders each rule's line after ``{"trial":N`` once, when a
-  trial first needs it; the tails are dropped after the last trial that
-  needs them. Any range of trials is rendered as each trial's text joined
-  with these shared tails. :func:`trace_blocks` cuts the trace into ranges
-  of whole trials, about TRACE_BLOCK_BYTES of text each, so ``beliefsim
-  run`` writes ``trace.jsonl`` block by block and never holds the whole
-  text; the whole trace is one range.
+  trial first needs it; the tails are kept only for rows that more than
+  one trial has, and dropped when a rendering reaches the last trial.
+  Any range of trials is rendered as each trial's text joined with these
+  shared tails. :func:`trace_blocks` cuts the trace into ranges of whole
+  trials, about TRACE_BLOCK_BYTES of text each, so ``beliefsim run``
+  writes ``trace.jsonl`` block by block and never holds the whole text;
+  the whole trace is one range.
 
 Trace records are flat: one per (trial, step, rule), with per-proposition
 maps inside. Metrics are a pure function of the trace plus the scenario's
@@ -323,10 +324,10 @@ class _RunRecords(Sequence):
     A trial's row holds, per step, one raw mask per proposition, bit i set
     when the step's agent i believes it. The outcomes of every raw row are
     in its step's memo, which holds exactly the run's distinct raw rows.
-    `uses` counts the trials that have each (step, raw row); a rendering
-    counts down its own copy, refilled once it renders the run's last trial.
-    The views that :meth:`blocks` returns share the run's rows, these counts
-    and the text rendered so far.
+    `uses` counts the trials that have each (step, raw row). Rendered tails
+    are kept only for rows that more than one trial has, and dropped when a
+    rendering reaches the last trial. The views that :meth:`blocks` returns
+    share the run's rows, these counts and the text rendered so far.
     """
 
     def __init__(
@@ -336,8 +337,7 @@ class _RunRecords(Sequence):
         self._rows = rows  # per trial of the whole run
         self._trials = range(len(rows))  # the trials of this view
         self._uses = uses  # (step, raw) -> the run's rows of it
-        self._left = dict(uses)  # (step, raw) -> its rows this rendering has yet to render
-        self._tails: dict = {}  # (step, raw) -> each rule's line tail, while rows still need it
+        self._tails: dict = {}  # (step, raw) of more than one trial -> each rule's line tail
         self._fixed: list = []  # per step: its agents' template and each rule's fixed text
         self._props_template = _template(plan.propositions)
         self._rules = len(plan.steps[0].rules)
@@ -432,29 +432,28 @@ class _RunRecords(Sequence):
 
         The bytes are what ``TraceRecord.to_dict`` plus ``json.dumps`` give.
         Each line is a trial's ``{"trial":N`` and a tail shared by every
-        row equal to its own. Rendered in trial order, as :meth:`blocks`
-        gives them, each (step, raw row)'s tails are rendered once per run
-        and dropped after the last row that needs them, so the text kept
-        between blocks is only what later trials repeat.
+        row equal to its own. Tails are kept only for rows that more than
+        one trial has, and dropped when a rendering reaches the last trial,
+        so up to then each (step, raw row) is rendered once, whichever
+        blocks come first, and a row of one trial is never kept.
         """
-        tails, left = self._tails, self._left
+        tails, uses = self._tails, self._uses
         parts = []
         for trial in self._trials:
             trial_text = '{"trial":' + str(trial)
             for key in enumerate(self._rows[trial]):  # (step, raw)
                 lines = tails.get(key)
                 if lines is None:
-                    lines = tails[key] = self._render(*key)
-                left[key] -= 1
-                if left[key] <= 0:
-                    del tails[key]
+                    lines = self._render(*key)
+                    if uses[key] > 1:
+                        tails[key] = lines
                 for tail in lines:
                     parts += (trial_text, tail)
         if self._trials[-1] == len(self._rows) - 1:
-            # Last trial: no tail is left to build, and the next rendering counts afresh. Freeing the
-            # fixed text before the join cut crowd-drift's peak by 1.3 MB, 0.15 MB more than after it.
+            # Last trial: the next rendering starts afresh. Freeing the fixed text before the
+            # join cut crowd-drift's peak by 1.3 MB, 0.15 MB more than after it.
             self._fixed.clear()
-            left.update(self._uses)
+            tails.clear()
         return "".join(parts)
 
 

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -286,3 +287,22 @@ def test_printed_digits_do_not_depend_on_blas_threads(tmp_path):
         assert done.returncode == 0, done.stderr
         printed.append(done.stdout)
     assert printed[0] == printed[1]
+
+
+def test_enumeration_frees_each_rules_arrays_before_the_next():
+    # Kept per outcome: index (4 B), weight (8 B) and one rule's count (1 B);
+    # one rule's temporaries, a float64 share at most, add about 9 B. Arrays
+    # that outlived their rule would push the peak past 24 B per outcome.
+    rng = random.Random(22)
+    schema, agents = random_population(rng, MAX_ORACLE_AGENTS, 3)
+    probabilities = {agent_id: rng.uniform(0.05, 0.45) for agent_id, _ in agents}
+    rules = (MOST_EXPERT, MAJORITY, Rule(RuleKind.SUBGROUP_EXPERT, 1, False),
+             Rule(RuleKind.SUBGROUP_EXPERT, 2, True))
+    scenario = simple_scenario(schema, agents, probabilities, rules=rules)
+    tracemalloc.start()
+    try:
+        exact_rule_accuracy(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**MAX_ORACLE_AGENTS * 24

@@ -85,6 +85,34 @@ def test_blocks_render_each_row_once_and_keep_no_tail(scenario_dir, monkeypatch)
     assert not trace.records._tails
 
 
+def test_a_partial_rendering_leaves_no_row_to_render_twice(scenario_dir, monkeypatch):
+    # A middle block rendered alone stops short of the last trial, so the
+    # whole rendering after it must reuse the tails it kept.
+    scenario = replace(read_scenario(scenario_dir / "intersection.scn"), trials=100)
+    trace = run(scenario)[0]
+    rendered = []
+    render = simulator._RunRecords._render
+
+    def counted(self, *key):
+        rendered.append(key)
+        return render(self, *key)
+
+    monkeypatch.setattr(simulator._RunRecords, "_render", counted)
+    blocks = list(trace_blocks(trace))
+    assert len(blocks) > 2
+    trace_to_jsonl(blocks[1])
+    records = trace.records
+    assert all(records._uses[key] > 1 for key in records._tails)
+    rendered.clear()
+    whole = trace_to_jsonl(trace)
+    reference = "".join(
+        json.dumps(record.to_dict(), separators=(",", ":")) + "\n" for record in records
+    )
+    assert whole == reference
+    assert len(rendered) == len(set(rendered))
+    assert not records._tails
+
+
 def test_manifest_counts_the_written_trace(mixed, tmp_path, capsys):
     out = _run_cli(mixed, 2 * BLOCK + 1, tmp_path / "out")
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
