@@ -42,6 +42,11 @@ class Rule:
     include_self: bool = False
 
     def __post_init__(self) -> None:
+        if type(self.depth) is not int or type(self.include_self) is not bool:  # d=1.5 would not load
+            raise ValidationError(
+                f"{self.kind.value} rule needs an int depth and a bool include_self, "
+                f"got {self.depth!r} and {self.include_self!r}"
+            )
         if self.kind is RuleKind.SUBGROUP_EXPERT and self.depth < 1:
             raise ValidationError(f"subgroup rule depth must be >= 1, got {self.depth}")
 
@@ -149,6 +154,8 @@ def apply_subgroup_expert(
     the vote iff include_self is set; with no visible experts the receiver
     is the only voter, so the result is its own belief.
     """
+    if type(depth) is not int:  # 1.5 never counts down to 0
+        raise ValidationError(f"depth must be an integer, got {depth!r}")
     if depth < 1:
         raise ValidationError(f"depth must be >= 1, got {depth}")
     if receiver not in profile.beliefs:

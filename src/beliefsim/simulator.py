@@ -36,14 +36,10 @@ A run goes in four parts:
   and reads outcomes from the memo. Its ``records`` build a TraceRecord
   only when indexed or iterated, and :func:`trace_to_jsonl` renders its
   lines straight from the rows, byte for byte what ``TraceRecord.to_dict``
-  plus ``json.dumps`` give. The renderer owns the line format: once per
-  run, it builds each (step, rule)'s fixed text once, and each entry of a
-  step's memo renders each rule's line after ``{"trial":N`` once, when a
-  trial first needs it; the tails are kept only for rows that more than
-  one trial has, and dropped when a rendering reaches the last trial.
-  Any range of trials is rendered as each trial's text joined with these
-  shared tails. :func:`trace_blocks` cuts the trace into ranges of whole
-  trials, about TRACE_BLOCK_BYTES of text each, so ``beliefsim run``
+  plus ``json.dumps`` give. The renderer owns the line format and renders
+  each (step, raw row)'s lines once, after ``{"trial":N`` (see
+  ``_RunRecords.jsonl``). :func:`trace_blocks` cuts the trace into ranges
+  of whole trials, about TRACE_BLOCK_BYTES of text each, so ``beliefsim run``
   writes ``trace.jsonl`` block by block and never holds the whole text;
   the whole trace is one range.
 
@@ -61,6 +57,7 @@ import math
 from collections import Counter
 from collections.abc import Hashable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
+from itertools import product
 from typing import NamedTuple
 
 from .beliefs import (
@@ -324,10 +321,9 @@ class _RunRecords(Sequence):
     A trial's row holds, per step, one raw mask per proposition, bit i set
     when the step's agent i believes it. The outcomes of every raw row are
     in its step's memo, which holds exactly the run's distinct raw rows.
-    `uses` counts the trials that have each (step, raw row). Rendered tails
-    are kept only for rows that more than one trial has, and dropped when a
-    rendering reaches the last trial. The views that :meth:`blocks` returns
-    share the run's rows, these counts and the text rendered so far.
+    `uses` counts the trials that have each (step, raw row); :meth:`jsonl`
+    keeps a row's rendered tails while more trials need them. The views that
+    :meth:`blocks` returns share the run's rows, these counts and that text.
     """
 
     def __init__(
@@ -724,29 +720,25 @@ def _named(trial, step, rule) -> str:
     return f"(trial {trial!r}, step {step!r}, rule {rule!r})"
 
 
-def _bool_rows(record: TraceRecord, field: str, props: Sequence[str], agents: Sequence[str]):
+def _bool_rows(maps, field: str, props: Sequence[str], agents: Sequence[str]):
     """A record's `field` maps as one mask per proposition, bit i for `agents[i]`.
 
-    Any other shape or value raises a ValidationError that names the record.
+    Any other shape or value raises a ValidationError; the caller names the record.
     """
-    maps = getattr(record, field)
-    where = f"trace record {_named(record.trial, record.step, record.rule)}"
     if not isinstance(maps, Mapping) or not all(isinstance(m, Mapping) for m in maps.values()):
-        raise ValidationError(f"{where} has a malformed {field}: expected maps of agent to bool")
+        raise ValidationError(f"has a malformed {field}: expected maps of agent to bool")
     unknown = maps.keys() - set(props)
     if unknown:
-        raise ValidationError(
-            f"{where} names proposition {min(unknown)!r}, which the scenario lacks"
-        )
+        raise ValidationError(f"names proposition {min(unknown)!r}, which the scenario lacks")
     try:
         rows = tuple(tuple(maps[p][a] for a in agents) for p in props)
     except KeyError as exc:
-        raise ValidationError(f"{where} has no {field} value for {exc.args[0]!r}") from None
+        raise ValidationError(f"has no {field} value for {exc.args[0]!r}") from None
     if any(len(maps[p]) != len(agents) for p in props):
-        raise ValidationError(f"{where} has {field} values for agents the scenario lacks")
+        raise ValidationError(f"has {field} values for agents the scenario lacks")
     odd = [value for row in rows for value in row if type(value) is not bool]
     if odd:
-        raise ValidationError(f"{where} has {field} value {odd[0]!r}, not true or false")
+        raise ValidationError(f"has {field} value {odd[0]!r}, not true or false")
     return tuple(sum(1 << i for i, value in enumerate(row) if value) for row in rows)
 
 
@@ -756,61 +748,55 @@ def compute_metrics(trace: Trace, scenario: Scenario) -> Metrics:
     Pure function of (trace, scenario): re-running it on a persisted trace
     reproduces the original metrics exactly. Records are grouped by
     (trial, step) and counted by the same tally that :func:`run` feeds.
+    It keeps one slot per key seen, and looks for the first missing key
+    only when the trace is incomplete.
     """
     rule_names = [rule.name for rule in scenario.rules]
-    expected = {
-        (trial, step, name): None
-        for trial in range(scenario.trials)
-        for step in range(scenario.steps)
-        for name in rule_names
-    }
-
-    def known(key) -> bool:  # True == 1.0 == 1, so the types are checked too
-        return type(key[0]) is int and type(key[1]) is int and key in expected
-
-    # One pass over the records, which a lazy trace builds as it goes. A bad
-    # row is raised only after the keys pass, so key faults are named first.
+    trials, steps = range(scenario.trials), range(scenario.steps)
     props = [prop.id for prop in scenario.propositions]
     agents = sorted(agent_id for agent_id, _ in scenario.agents)
-    rule_index = {name: i for i, name in enumerate(rule_names)}
-    keys = []
-    odd = bad_row = None  # the first key that is not hashable, the first bad row's error
-    by_point: dict[tuple[int, int], list] = {}
+
+    # One pass over the records, which a lazy trace builds as it goes. A list
+    # or map key raises at once; a bad row only once the keys are all known.
+    unexpected = bad_row = None
+    by_point: dict = {}  # (trial, step) -> {rule name: its rows, or None if bad}
     for record in trace.records:
-        key = (record.trial, record.step, record.rule)
-        keys.append(key)
+        trial, step, rule = key = (record.trial, record.step, record.rule)
         if not all(isinstance(part, Hashable) for part in key):
-            odd = odd or key
+            raise ValidationError(f"trace record {_named(*key)} has a list or map as a key")
+        ints = type(trial) is int and type(step) is int  # True == 1.0 == 1, so types count
+        if not (ints and trial in trials and step in steps and rule in rule_names):
+            unexpected = unexpected or key
             continue
         try:
             rows = tuple(
-                _bool_rows(record, field, props, agents)
+                _bool_rows(getattr(record, field), field, props, agents)
                 for field in ("raw", "propagated", "tie_broken")
             )
         except ValidationError as exc:
-            bad_row = bad_row or exc
-            continue
-        if known(key):
-            by_point.setdefault(key[:2], [None] * len(rule_names))[rule_index[key[2]]] = rows
+            rows, bad_row = None, bad_row or ValidationError(f"trace record {_named(*key)} {exc}")
+        by_point.setdefault((trial, step), {})[rule] = rows
 
-    if odd:
-        raise ValidationError(f"trace record {_named(*odd)} has a list or map as a key")
-    seen = set(filter(known, keys))
-    if seen != expected.keys() or len(keys) != len(expected):
-        missing = [_named(*key) for key in expected if key not in seen][:1]
-        unexpected = [_named(*key) for key in keys if not known(key)][:1]
+    expected = len(trials) * len(steps) * len(rule_names)
+    if len(trace.records) != expected or sum(map(len, by_point.values())) != expected:
+        missing = next(
+            (key for key in product(trials, steps, rule_names)
+             if key[2] not in by_point.get(key[:2], ())),
+            None,
+        )
         raise ValidationError(
-            f"incomplete trace: expected {len(expected)} records "
+            f"incomplete trace: expected {expected} records "
             f"({scenario.trials} trials x {scenario.steps} steps x {len(rule_names)} rules), "
-            f"got {len(keys)}"
-            + "".join(f"; first missing {key}" for key in missing)
-            + "".join(f"; first unexpected {key}" for key in unexpected)
+            f"got {len(trace.records)}"
+            + (f"; first missing {_named(*missing)}" if missing else "")
+            + (f"; first unexpected {_named(*unexpected)}" if unexpected else "")
         )
     if bad_row is not None:
         raise bad_row
 
     points: Counter = Counter()
-    for (trial, step), rows in by_point.items():
+    for (trial, step), slots in by_point.items():
+        rows = [slots[name] for name in rule_names]
         # raw beliefs repeat per rule; count them once, from the first rule
         raw = rows[0][0]
         for name, rule_rows in zip(rule_names, rows):

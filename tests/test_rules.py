@@ -83,6 +83,20 @@ class TestParseRule:
     def test_every_name_parses_back(self, rule):
         assert parse_rule(rule.name) == rule
 
+    @pytest.mark.parametrize(
+        "depth, include_self, got",
+        [(1.5, False, "1.5 and False"), (True, False, "True and False"), (2.0, True, "2.0 and True"),
+         (1, "yes", "1 and 'yes'"), (1, 1, "1 and 1")],
+        ids=["float-depth", "bool-depth", "integral-float-depth", "string-self", "int-self"],
+    )
+    def test_only_an_int_depth_and_a_bool_self(self, depth, include_self, got):
+        # Rule(SUBGROUP_EXPERT, 1.5) was named subgroup:d=1.5, which no scenario loads back
+        with pytest.raises(ValidationError) as err:
+            Rule(RuleKind.SUBGROUP_EXPERT, depth, include_self)
+        assert str(err.value) == (
+            f"subgroup rule needs an int depth and a bool include_self, got {got}"
+        )
+
 
 class TestMostExpert:
     def test_unique_expert_overrides_everyone(self, intersection):
@@ -179,6 +193,13 @@ class TestSubgroupExpert:
         profile = make_profile({a: True for a in intersection.real_ids})
         with pytest.raises(ValidationError):
             apply_subgroup_expert(intersection, profile, FULL, "s4", 0, False)
+
+    @pytest.mark.parametrize("depth", [1.5, True])
+    def test_depth_must_be_an_integer(self, intersection, depth):
+        # depth 1.5 never reaches 0, so every layer above s4 was peeled
+        profile = make_profile({a: True for a in intersection.real_ids})
+        with pytest.raises(ValidationError, match=f"^depth must be an integer, got {depth}$"):
+            apply_subgroup_expert(intersection, profile, FULL, "s4", depth, False)
 
     def test_respects_topology(self, intersection):
         # s4 only hears from s2: expert layers are computed among {s2, s4}

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -37,6 +38,19 @@ from support import make_schema, random_population, simple_scenario
 from test_byte_pins import crowd_scenario
 
 S = Direction.SMALLER_IS_BETTER
+INCOMPLETE = "incomplete trace: expected 18 records (2 trials x 3 steps x 3 rules), got "
+
+
+def _keyed(line: str, **fields) -> str:
+    """A trace line with some of its key fields replaced."""
+    return json.dumps({**json.loads(line), **fields})
+
+
+def _bad_row(line: str) -> str:
+    """A trace line whose first raw belief is not true or false."""
+    record = json.loads(line)
+    record["raw"]["pedestrian"]["s1"] = "yes"
+    return json.dumps(record)
 
 
 class TestRun:
@@ -415,6 +429,19 @@ class TestMetrics:
         reloaded = trace_from_jsonl(trace_to_jsonl(trace))
         assert compute_metrics(reloaded, scenario) == metrics
 
+    def test_working_memory_is_one_slot_per_record(self, scenario_dir):
+        # The parsed trace is the caller's; only what compute_metrics adds is measured.
+        scenario = replace(read_scenario(scenario_dir / "intersection.scn"), trials=2000, seed=42)
+        trace = trace_from_jsonl(trace_to_jsonl(run(scenario)[0]))
+        tracemalloc.start()
+        try:
+            compute_metrics(trace, scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace.records) == 18_000
+        assert peak < 18_000 * 400
+
     def test_raw_accuracy_of_noiseless_agent_is_one(self):
         schema = make_schema((S, S))
         agents = (
@@ -586,6 +613,47 @@ class TestTraceSerialization:
             f"got 18; first missing ({missing}, rule 'most-expert'); "
             f"first unexpected ({unexpected}, rule 'most-expert')"
         )
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda lines: [lines[0], _bad_row(lines[1]), *lines[2:5], *lines[6:9],
+                               _keyed(lines[9], trial=[1]), *lines[10:]],
+                "trace record (trial [1], step 0, rule 'most-expert') has a list or map as a key",
+            ),
+            (lambda lines: lines + lines[:1], f"{INCOMPLETE}19"),
+            (
+                lambda lines: lines[:10] + [_keyed(lines[10], trial=2)] + lines[11:],
+                f"{INCOMPLETE}18; first missing (trial 1, step 0, rule 'majority'); "
+                "first unexpected (trial 2, step 0, rule 'majority')",
+            ),
+            (
+                lambda lines: lines[:4] + [_keyed(lines[4], step=-1)] + lines[5:],
+                f"{INCOMPLETE}18; first missing (trial 0, step 1, rule 'majority'); "
+                "first unexpected (trial 0, step -1, rule 'majority')",
+            ),
+            (
+                lambda lines: [lines[0], _bad_row(lines[1]), *lines[2:7], *lines[8:]],
+                f"{INCOMPLETE}17; first missing (trial 0, step 2, rule 'majority')",
+            ),
+            (lambda lines: lines + [_bad_row(lines[0])], f"{INCOMPLETE}19"),
+            (
+                lambda lines: [lines[0], _bad_row(lines[1]), *lines[2:]],
+                "trace record (trial 0, step 0, rule 'majority') has raw value 'yes', "
+                "not true or false",
+            ),
+        ],
+        ids=["list-key-first", "duplicate", "trial-past-end", "negative-step",
+             "dropped-and-bad", "bad-duplicate", "bad-row-alone"],
+    )
+    def test_fault_precedence(self, edit, message):
+        # a list or map key, then the key set, then a bad row: each names only the first
+        scenario = replace(build_intersection_scenario(), trials=2)
+        trace = trace_from_jsonl("\n".join(edit(self._two_trial_text().splitlines())))
+        with pytest.raises(ValidationError) as err:
+            compute_metrics(trace, scenario)
+        assert str(err.value) == message
 
     def test_conflicting_raw_is_named(self):
         scenario = replace(build_intersection_scenario(), trials=2)
