@@ -5,17 +5,18 @@ ground truth through an error model: with probability p the observed value
 is flipped. Randomness is counter-based - every draw is a keyed hash of
 (seed, trial, agent, step, proposition, counter) - so observations for
 distinct agents, steps, and trials are independent streams, and any one
-draw can be replayed from its key alone.
+draw can be replayed from its key alone. :func:`flip_mask` draws a whole
+row of agents' flips, one stream's first draw per agent.
 """
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping
+from hashlib import blake2b
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigurationError, UnknownAgentError, ValidationError
 from .lattice import DominanceLattice
@@ -240,8 +241,8 @@ class RandomStream:
     Draw i is blake2b(prefix || i) mapped to [0, 1), where the prefix is
     ``stream_head(seed, trial) + stream_tail(agent, step, proposition)``
     and ends in the separator; no state beyond the counter, identical on
-    every platform. :meth:`keyed` takes a ready prefix, so a caller that
-    draws many streams can build the key parts once.
+    every platform. :func:`flip_mask` draws many streams' first draws
+    through one object.
     """
 
     __slots__ = ("_prefix", "_counter")
@@ -250,18 +251,33 @@ class RandomStream:
         self._prefix = stream_head(seed, trial) + stream_tail(agent, step, proposition)
         self._counter = 0
 
-    @classmethod
-    def keyed(cls, prefix: bytes) -> "RandomStream":
-        """The stream keyed by `prefix`, ``stream_head(...) + stream_tail(...)``."""
-        stream = cls.__new__(cls)
-        stream._prefix = prefix
-        stream._counter = 0
-        return stream
-
     def uniform(self) -> float:
-        digest = hashlib.blake2b(self._prefix + str(self._counter).encode(), digest_size=8).digest()
-        self._counter += 1
+        counter = self._counter
+        self._counter = counter + 1
+        digest = blake2b(b"%b%d" % (self._prefix, counter), digest_size=8).digest()
         return int.from_bytes(digest, "big") / 2**64
+
+
+def flip_mask(head: bytes, tails: Sequence[bytes], error_p: Sequence[float]) -> int:
+    """Which observations flip: bit i is set iff stream ``head + tails[i]`` draws < error_p[i].
+
+    Draw i is the first of ``RandomStream(seed, trial, agent_i, step,
+    proposition)`` for ``head = stream_head(seed, trial)``, drawn through
+    one re-keyed stream object. Each draw calls ``RandomStream.uniform``,
+    looked up on the class once per call, because the benchmark's
+    ``beliefs.draw`` leaf wraps it there and
+    ``test_each_draw_calls_uniform_once`` counts it. A draw at the hash
+    floor changes only this body, once that leaf is bound here instead.
+    """
+    uniform = RandomStream.uniform
+    stream = RandomStream.__new__(RandomStream)
+    mask = 0
+    for i, tail in enumerate(tails):
+        stream._prefix = head + tail
+        stream._counter = 0
+        if uniform(stream) < error_p[i]:
+            mask |= 1 << i
+    return mask
 
 
 def observe(

@@ -11,7 +11,7 @@ A run goes in four parts:
 
 - **Plan.** Before the first trial, each step is compiled once into a
   vote plan: the agents in lattice order, each agent's error probability
-  and stream key tails, the truth of each proposition, the lattice
+  and stream key tails, each proposition's truth mask, the lattice
   digest, and each rule's voters: :func:`apply_rule`'s contributors over
   one placeholder profile per step, as voters depend only on the lattice,
   the topology and the receiver. Receivers are grouped by voter set, one
@@ -20,10 +20,11 @@ A run goes in four parts:
   groups too. The plan holds no trace text.
   Validation builds the lattices once per command, after the CLI's flag
   overrides.
-- **Rows.** A trial encodes its stream key head once and draws every
-  belief from ``RandomStream.keyed(head + tail)``, which draws what
-  ``RandomStream(seed, trial, agent, step, proposition)`` draws. Its row
-  keeps only the raw beliefs, one int mask per proposition and step.
+- **Rows.** A trial encodes its stream key head once. Per step and
+  proposition, :func:`~beliefsim.beliefs.flip_mask` draws every agent's
+  flip, one ``RandomStream.uniform`` call each; XORed with the truth
+  mask, that is the raw row. The trial keeps only these raw beliefs, one
+  int mask per proposition and step.
   Each step's memo maps a whole raw row to every rule's propagated and
   tie-broken masks, and the trials fill it: a new row costs one popcount
   and one ``rules._majority`` call per group and proposition.
@@ -67,8 +68,8 @@ from .beliefs import (
     ErrorModel,
     GroundTruthSchedule,
     Proposition,
-    RandomStream,
     Topology,
+    flip_mask,
     observe,  # not called here; bench/tracer.py looks up simulator.observe
     stream_head,
     stream_tail,
@@ -299,7 +300,7 @@ class _StepPlan(NamedTuple):
     digest: str
     agents: tuple[str, ...]  # lattice order, which is id order
     error_p: tuple[float, ...]  # per agent
-    truth: tuple[bool, ...]  # per proposition
+    truth: tuple[int, ...]  # per proposition: every agent's bit if true, else 0
     tails: tuple[tuple[bytes, ...], ...]  # per proposition, each agent's stream_tail
     rules: tuple[_RulePlan, ...]
     # Raw masks -> each rule's (propagated, tie_broken) masks, filled by the
@@ -638,7 +639,10 @@ def _compile(scenario: Scenario, lattices: Sequence[DominanceLattice]) -> _Plan:
                 lattice.digest(),
                 agents,
                 tuple(scenario.error_model.probability_for(a, lattice) for a in agents),
-                tuple(scenario.ground_truth[p].value_at(step) for p in props),
+                tuple(
+                    (1 << len(agents)) - 1 if scenario.ground_truth[p].value_at(step) else 0
+                    for p in props
+                ),
                 tuple(tuple(stream_tail(a, step, p) for a in agents) for p in props),
                 tuple(rules),
                 {},
@@ -674,18 +678,14 @@ def _vote_rows(step: _StepPlan, raw: tuple[int, ...]) -> tuple[tuple[tuple, tupl
 def _run_trial(plan: _Plan, trial: int) -> tuple[tuple[int, ...], ...]:
     """Draw every belief of one trial; each step's memo gets the votes of a new raw row.
 
-    Each draw is the first of the stream keyed by the trial's head and the
-    plan's tail, what ``RandomStream(seed, trial, agent, step, prop)`` draws.
+    A raw mask is the truth mask with the :func:`flip_mask` of the trial's
+    head and the plan's tails XORed in.
     """
     head = stream_head(plan.seed, trial)
     rows = []
     for step_plan in plan.steps:
         raw = tuple(
-            sum(
-                1 << i
-                for i, (tail, p) in enumerate(zip(tails, step_plan.error_p))
-                if truth != (RandomStream.keyed(head + tail).uniform() < p)
-            )
+            truth ^ flip_mask(head, tails, step_plan.error_p)
             for tails, truth in zip(step_plan.tails, step_plan.truth)
         )
         if raw not in step_plan.outcomes:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -21,7 +22,7 @@ from beliefsim import (
     observe,
     visible_profile,
 )
-from beliefsim.beliefs import IDENTIFIER, stream_head, stream_tail
+from beliefsim.beliefs import IDENTIFIER, flip_mask, stream_head, stream_tail
 
 from support import make_profile, make_schema
 
@@ -110,19 +111,50 @@ class TestStreams:
         )
 
     @given(
+        prefix=st.binary(max_size=64),
+        start=st.integers(0, 10**7),
+    )
+    def test_uniform_keeps_the_reference_expression(self, prefix, start):
+        # uniform formats the counter with %d; the reference encodes str(counter)
+        stream = RandomStream.__new__(RandomStream)
+        stream._prefix = prefix
+        stream._counter = start
+        expected = [
+            int.from_bytes(
+                hashlib.blake2b(prefix + str(c).encode(), digest_size=8).digest(), "big"
+            )
+            / 2**64
+            for c in range(start, start + 3)
+        ]
+        assert [stream.uniform() for _ in range(3)] == expected
+        assert stream._counter == start + 3
+
+    @given(
         seed=st.integers(0, 2**64 - 1),
         trial=st.integers(0, 10**12),
-        agent=st.from_regex(IDENTIFIER, fullmatch=True),
         step=st.integers(0, 10**6),
         prop=st.from_regex(IDENTIFIER, fullmatch=True),
+        agents=st.lists(
+            st.tuples(
+                st.from_regex(IDENTIFIER, fullmatch=True),
+                st.one_of(
+                    st.sampled_from([0.0, 1.0]),
+                    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                ),
+            ),
+            max_size=8,
+        ),
     )
-    def test_keyed_stream_draws_like_the_reference(self, seed, trial, agent, step, prop):
-        # the run kernel draws from a per-trial head plus a per-(agent, step,
-        # proposition) tail built once; RandomStream(...) stays the reference
-        keyed = RandomStream.keyed(stream_head(seed, trial) + stream_tail(agent, step, prop))
-        reference = RandomStream(seed, trial, agent, step, prop)
-        assert type(keyed) is RandomStream
-        assert [keyed.uniform() for _ in range(3)] == [reference.uniform() for _ in range(3)]
+    def test_flip_mask_draws_like_the_reference(self, seed, trial, step, prop, agents):
+        # the run kernel draws a row from a per-trial head plus per-(agent, step,
+        # proposition) tails built once; RandomStream(...) stays the reference
+        tails = [stream_tail(agent, step, prop) for agent, _ in agents]
+        error_p = [p for _, p in agents]
+        mask = flip_mask(stream_head(seed, trial), tails, error_p)
+        for i, (agent, p) in enumerate(agents):
+            flipped = RandomStream(seed, trial, agent, step, prop).uniform() < p
+            assert bool(mask >> i & 1) == flipped
+        assert mask >> len(agents) == 0
 
     def test_per_agent_independence(self):
         # changing a2's error probability must not disturb a1's stream

@@ -122,21 +122,10 @@ def test_rows_render_tally_and_index_like_records(scenario):
         lazy[-expected - 1]
 
 
-def test_each_draw_calls_uniform_once(monkeypatch):
-    # The benchmark's tracer counts draws by wrapping RandomStream.uniform on
-    # the class, so every kernel draw must look uniform up there, once.
-    calls = 0
-    uniform = RandomStream.uniform
-
-    def counting(stream):
-        nonlocal calls
-        calls += 1
-        return uniform(stream)
-
-    monkeypatch.setattr(RandomStream, "uniform", counting)
+def _quality_mapped_scenario():
     schema = make_schema((Direction.SMALLER_IS_BETTER,))
     agents = tuple((f"a{i}", FeatureVector((float(i),))) for i in range(5))
-    scenario = Scenario(
+    return Scenario(
         schema=schema,
         agents=agents,
         propositions=(Proposition("p"), Proposition("q")),
@@ -152,8 +141,46 @@ def test_each_draw_calls_uniform_once(monkeypatch):
         seed=3,
         drift=(DriftEvent("a4", "f0", 1, value=-1.0), DriftEvent("a0", "f0", 2, delta=9.0)),
     )
+
+
+def _certain_errors_scenario():
+    # p = 0 and p = 1 decide the flip before the draw, but each is still a
+    # draw: skipping it would change the traced count, and at p = 1 a digest
+    # of 2**64 - 1024 or more maps to 1.0, which does not flip.
+    schema = make_schema((Direction.SMALLER_IS_BETTER,))
+    agents = [(f"a{i}", FeatureVector((float(i),))) for i in range(4)]
+    return simple_scenario(
+        schema,
+        agents,
+        {"a0": 0.0, "a1": 1.0, "a2": 0.0, "a3": 1.0},
+        steps=3,
+        trials=7,
+        seed=3,
+        topology=Topology.graph({"a0": {"a1"}, "a1": {"a2", "a3"}, "a3": {"a0"}}),
+    )
+
+
+@pytest.mark.parametrize(
+    "make_scenario",
+    [_quality_mapped_scenario, _certain_errors_scenario],
+    ids=["quality-mapped", "certain-errors"],
+)
+def test_each_draw_calls_uniform_once(monkeypatch, make_scenario):
+    # The benchmark's tracer counts draws by wrapping RandomStream.uniform on
+    # the class, so every kernel draw must look uniform up there, once.
+    calls = 0
+    uniform = RandomStream.uniform
+
+    def counting(stream):
+        nonlocal calls
+        calls += 1
+        return uniform(stream)
+
+    monkeypatch.setattr(RandomStream, "uniform", counting)
+    scenario = make_scenario()
     run(scenario)
-    assert calls == 7 * 3 * 2 * 5  # trials x steps x propositions x agents
+    agents, props = len(scenario.agents), len(scenario.propositions)
+    assert calls == scenario.trials * scenario.steps * props * agents
 
 
 def test_a_raw_row_repeated_across_steps_renders_each_step():
