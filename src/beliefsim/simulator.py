@@ -9,15 +9,15 @@ the whole run is reproducible bit-for-bit.
 
 A run goes in four parts:
 
-- **Plan.** Before the first trial, each step is compiled once into a
-  vote plan: the agents in lattice order, each agent's error probability
-  and stream key tails, each proposition's truth mask, the lattice
-  digest, and each rule's voters: :func:`apply_rule`'s contributors over
-  one placeholder profile per step, as voters depend only on the lattice,
-  the topology and the receiver. Receivers are grouped by voter set, one
-  ``(voters, receivers)`` pair of int masks per distinct set (bit i is the
-  step's agent i), and share that set's sorted tuple. The oracle uses these
-  groups too. The plan holds no trace text.
+- **Plan.** Before the first trial, the run is compiled once into a vote
+  plan: the agents once, in lattice order (drift moves qualities, never
+  agents), and per step each agent's error probability and stream key
+  tails, each proposition's truth mask, the lattice digest, and each
+  rule's voters: :func:`apply_rule`'s contributors over one placeholder
+  profile per step, as voters depend only on the lattice, the topology and
+  the receiver. Receivers are grouped by voter set, one ``(voters,
+  receivers)`` int mask pair per set (bit i is agent i), sharing its
+  sorted tuple. The oracle uses these groups too. It holds no trace text.
   Validation builds the lattices once per command, after the CLI's flag
   overrides.
 - **Rows.** A trial encodes its stream key head once. Per step and
@@ -29,10 +29,9 @@ A run goes in four parts:
   tie-broken masks, and the trials fill it: a new row costs one popcount
   and one ``rules._majority`` call per group and proposition.
 - **Tally.** :func:`run` counts each step's raw rows and tallies them, by
-  popcounts, with their memoised outcomes.
-  :func:`compute_metrics` turns a trace's records into the same masks
-  and feeds the same tally; its counts are integers, so both give
-  byte-equal metrics.
+  popcounts, with their memoised outcomes. :func:`compute_metrics`
+  validates its scenario, turns a trace's records into the same masks and
+  feeds the same tally of integer counts, so both give byte-equal metrics.
 - **Lazy records.** The trace that :func:`run` returns keeps the rows
   and reads outcomes from the memo. Its ``records`` build a TraceRecord
   only when indexed or iterated, and :func:`trace_to_jsonl` renders its
@@ -289,7 +288,7 @@ class _RulePlan(NamedTuple):
     """One rule at one step: its voters."""
 
     name: str
-    # (voters, receivers) per distinct voter set, as masks: bit i is the step's agent i
+    # (voters, receivers) per distinct voter set, as masks: bit i is the plan's agent i
     groups: tuple[tuple[int, int], ...]
     contributors: Mapping[str, tuple[str, ...]]  # each receiver's voters by id, in agent order
 
@@ -298,7 +297,6 @@ class _StepPlan(NamedTuple):
     """One step of the vote plan; only `outcomes` changes after it is compiled."""
 
     digest: str
-    agents: tuple[str, ...]  # lattice order, which is id order
     error_p: tuple[float, ...]  # per agent
     truth: tuple[int, ...]  # per proposition: every agent's bit if true, else 0
     tails: tuple[tuple[bytes, ...], ...]  # per proposition, each agent's stream_tail
@@ -313,6 +311,7 @@ class _Plan(NamedTuple):
 
     seed: int
     propositions: tuple[str, ...]
+    agents: tuple[str, ...]  # in lattice order, which every step shares
     steps: tuple[_StepPlan, ...]
 
 
@@ -320,7 +319,7 @@ class _RunRecords(Sequence):
     """The records of a range of a run's trials, kept as raw rows and built on demand.
 
     A trial's row holds, per step, one raw mask per proposition, bit i set
-    when the step's agent i believes it. The outcomes of every raw row are
+    when the plan's agent i believes it. The outcomes of every raw row are
     in its step's memo, which holds exactly the run's distinct raw rows.
     `uses` counts the trials that have each (step, raw row); :meth:`jsonl`
     keeps a row's rendered tails while more trials need them. The views that
@@ -335,8 +334,9 @@ class _RunRecords(Sequence):
         self._trials = range(len(rows))  # the trials of this view
         self._uses = uses  # (step, raw) -> the run's rows of it
         self._tails: dict = {}  # (step, raw) of more than one trial -> each rule's line tail
-        self._fixed: list = []  # per step: its agents' template and each rule's fixed text
+        self._fixed: list = []  # per step: each rule's fixed text
         self._props_template = _template(plan.propositions)
+        self._agents_template = _template(plan.agents)
         self._rules = len(plan.steps[0].rules)
         self._per_trial = len(plan.steps) * self._rules
 
@@ -357,58 +357,55 @@ class _RunRecords(Sequence):
         raw = self._rows[trial][step]
         propagated, ties = step_plan.outcomes[raw][rule]
         rule_plan = step_plan.rules[rule]
-        props = self._plan.propositions
+        props, agents = self._plan.propositions, self._plan.agents
 
         def maps(rows):
-            n = len(step_plan.agents)
-            return {p: dict(zip(step_plan.agents, _bools(mask, n))) for p, mask in zip(props, rows)}
+            return {p: dict(zip(agents, _bools(mask, len(agents)))) for p, mask in zip(props, rows)}
 
         return TraceRecord(
             trial, step, rule_plan.name, step_plan.digest, maps(raw), maps(propagated),
-            dict.fromkeys(props, rule_plan.contributors), maps(ties),
+            {p: dict(rule_plan.contributors) for p in props}, maps(ties),
         )
 
     def blocks(self) -> Iterator["_RunRecords"]:
         """Views of as many whole trials as TRACE_BLOCK_BYTES of text hold, and at least one."""
         if not self._fixed:
             self._fixed.extend(self._fixed_texts())
-        props = len(self._plan.propositions)  # a line: its fixed text and three maps of the agents
-        trial_bytes = sum(len(h) + len(c) + 3 * props * len(a) for a, fixed in self._fixed for h, c in fixed)
+        line_maps = 3 * len(self._plan.propositions) * len(self._agents_template)
+        trial_bytes = sum(len(h) + len(c) + line_maps for fixed in self._fixed for h, c in fixed)
         size = max(1, TRACE_BLOCK_BYTES // trial_bytes)
         for start in range(0, len(self._trials), size):
             block = copy.copy(self)
             block._trials = self._trials[start : start + size]
             yield block
 
-    def _fixed_texts(self) -> Iterator[tuple[str, list[tuple[str, str]]]]:
-        """Per step: its agents' template and each rule's (head, contributors) text.
+    def _fixed_texts(self) -> Iterator[list[tuple[str, str]]]:
+        """Per step: each rule's (head, contributors) text.
 
         The record head and the whole ``contributors`` map are fixed for a
         (step, rule); each distinct voter set is rendered as JSON once.
         """
         plan = self._plan
         for step, step_plan in enumerate(plan.steps):
-            agents_template = _template(step_plan.agents)
             fixed = []  # per rule: (',"step":...,"raw":', ',"contributors":{...}')
             for rule in step_plan.rules:
                 voters = rule.contributors.values()
                 as_text = {v: json.dumps(v, separators=(",", ":")) for v in set(voters)}
-                by_receiver = agents_template % tuple(map(as_text.__getitem__, voters))
+                by_receiver = self._agents_template % tuple(map(as_text.__getitem__, voters))
                 fixed.append((
                     f',"step":{step},"rule":{json.dumps(rule.name)},'
                     f'"lattice_digest":{json.dumps(step_plan.digest)},"raw":',
                     ',"contributors":'
                     + self._props_template % ((by_receiver,) * len(plan.propositions)),
                 ))
-            yield agents_template, fixed
+            yield fixed
 
     def _render(self, step: int, raw: tuple[int, ...]) -> tuple[str, ...]:
         """Each rule's line after ``{"trial":N`` for a raw row, which fixes its outcomes."""
         if not self._fixed:
             self._fixed.extend(self._fixed_texts())
-        agents_template, fixed = self._fixed[step]
-        step_plan = self._plan.steps[step]
-        n = len(step_plan.agents)
+        agents_template, n = self._agents_template, len(self._plan.agents)
+        outcomes = self._plan.steps[step].outcomes[raw]
 
         def text(rows) -> str:
             """{proposition: {agent: bool}} as JSON, from one mask per proposition."""
@@ -421,7 +418,7 @@ class _RunRecords(Sequence):
         return tuple(
             f'{head}{raw_text},"propagated":{text(propagated)}'
             f'{contributors},"tie_broken":{text(ties)}}}\n'
-            for (head, contributors), (propagated, ties) in zip(fixed, step_plan.outcomes[raw])
+            for (head, contributors), (propagated, ties) in zip(self._fixed[step], outcomes)
         )
 
     def jsonl(self) -> str:
@@ -552,20 +549,19 @@ class Metrics:
 
 
 def _binomial_halfwidth(p: float, n: int) -> float:
-    return _Z95 * math.sqrt(p * (1.0 - p) / n) if n else 0.0
+    return _Z95 * math.sqrt(p * (1.0 - p) / n)
 
 
-def _tally(points: Counter, scenario: Scenario) -> Metrics:
+def _tally(points: Counter, agents: Sequence[str], scenario: Scenario) -> Metrics:
     """Metrics from a histogram of (step, raw, outcomes) points.
 
     A point is one (trial, step): the raw beliefs, one mask per proposition
-    whose bit i is agent i in id order, and per rule in scenario order its
+    whose bit i is ``agents[i]``, and per rule in scenario order its
     (propagated, tie_broken) masks. Popcounts count right beliefs (``mask``
     or ``full ^ mask``) and disagreements (``left ^ right``), once per
     distinct point, weighted. The counts are integers and the divisions
     happen last, so the metrics do not depend on the order of the points.
     """
-    agents = sorted(agent_id for agent_id, _ in scenario.agents)
     n = len(agents)
     full = (1 << n) - 1
     names = [rule.name for rule in scenario.rules]
@@ -616,39 +612,38 @@ def _tally(points: Counter, scenario: Scenario) -> Metrics:
 
 
 def _compile(scenario: Scenario, lattices: Sequence[DominanceLattice]) -> _Plan:
-    """The per-step vote plan: agents, error probabilities, truth, key tails, voters."""
+    """The vote plan: agents, and per step error probabilities, truth, key tails, voters."""
     props = tuple(p.id for p in scenario.propositions)
+    agents = lattices[0].real_ids  # drift moves qualities, never agents
+    everyone = (1 << len(agents)) - 1
+    beliefs = {a: Belief(a, "", False) for a in agents}
     steps = []
     for step, lattice in enumerate(lattices):
-        agents = lattice.real_ids
         # Voters never depend on beliefs: apply_rule's contributors over any profile give them.
-        placeholder = BeliefProfile(step, "", {a: Belief(a, "", False) for a in agents})
+        # One per step: the benchmark keys receiver evaluations by profile.step.
+        placeholder = BeliefProfile(step, "", beliefs)
         rules = []
         for rule in scenario.rules:
             contributors = apply_rule(rule, lattice, placeholder, scenario.topology).contributors
             # Receivers often share a voter set (under full broadcast, every receiver
             # of majority or most-expert does): each distinct set is one group.
             receivers: dict[frozenset[str], int] = {}  # voter set -> its receivers' mask
-            for i, voters in enumerate(contributors.values()):  # receiver i is agents[i]
-                receivers[voters] = receivers.get(voters, 0) | (1 << i)
+            for i, a in enumerate(agents):
+                receivers[contributors[a]] = receivers.get(contributors[a], 0) | (1 << i)
             ordered = {voters: tuple(sorted(voters)) for voters in receivers}  # shared per set
             groups = tuple((lattice.mask_of(v), mask) for v, mask in receivers.items())
-            rules.append(_RulePlan(rule.name, groups, {a: ordered[v] for a, v in contributors.items()}))
+            rules.append(_RulePlan(rule.name, groups, {a: ordered[contributors[a]] for a in agents}))
         steps.append(
             _StepPlan(
                 lattice.digest(),
-                agents,
                 tuple(scenario.error_model.probability_for(a, lattice) for a in agents),
-                tuple(
-                    (1 << len(agents)) - 1 if scenario.ground_truth[p].value_at(step) else 0
-                    for p in props
-                ),
+                tuple(everyone if scenario.ground_truth[p].value_at(step) else 0 for p in props),
                 tuple(tuple(stream_tail(a, step, p) for a in agents) for p in props),
                 tuple(rules),
                 {},
             )
         )
-    return _Plan(scenario.seed, props, tuple(steps))
+    return _Plan(scenario.seed, props, agents, tuple(steps))
 
 
 def _vote_rows(step: _StepPlan, raw: tuple[int, ...]) -> tuple[tuple[tuple, tuple], ...]:
@@ -705,7 +700,7 @@ def run(scenario: Scenario) -> tuple[Trace, Metrics]:
     rows = [_run_trial(plan, trial) for trial in range(scenario.trials)]
     seen = Counter((step, raw) for row in rows for step, raw in enumerate(row))
     points = Counter({(s, raw, plan.steps[s].outcomes[raw]): n for (s, raw), n in seen.items()})
-    return Trace(_RunRecords(plan, rows, seen)), _tally(points, scenario)
+    return Trace(_RunRecords(plan, rows, seen)), _tally(points, plan.agents, scenario)
 
 
 def check_determinism(rule: Rule, scenario: Scenario, seed: int, repetitions: int) -> bool:
@@ -746,15 +741,15 @@ def compute_metrics(trace: Trace, scenario: Scenario) -> Metrics:
     """Aggregate reliability statistics from a complete trace.
 
     Pure function of (trace, scenario): re-running it on a persisted trace
-    reproduces the original metrics exactly. Records are grouped by
-    (trial, step) and counted by the same tally that :func:`run` feeds.
-    It keeps one slot per key seen, and looks for the first missing key
-    only when the trace is incomplete.
+    reproduces the original metrics exactly. It validates the scenario, then
+    groups records by (trial, step), as masks in lattice order, for the tally
+    that :func:`run` feeds. It keeps one slot per key seen, and looks for the
+    first missing key only when the trace is incomplete.
     """
+    agents = validate_scenario(scenario)[0].real_ids
     rule_names = [rule.name for rule in scenario.rules]
     trials, steps = range(scenario.trials), range(scenario.steps)
     props = [prop.id for prop in scenario.propositions]
-    agents = sorted(agent_id for agent_id, _ in scenario.agents)
 
     # One pass over the records, which a lazy trace builds as it goes. A list
     # or map key raises at once; a bad row only once the keys are all known.
@@ -806,7 +801,7 @@ def compute_metrics(trace: Trace, scenario: Scenario) -> Metrics:
                     f"{_named(trial, step, name)} disagree on raw"
                 )
         points[step, raw, tuple(rule_rows[1:] for rule_rows in rows)] += 1
-    return _tally(points, scenario)
+    return _tally(points, agents, scenario)
 
 
 def build_intersection_scenario() -> Scenario:

@@ -183,6 +183,22 @@ def test_each_draw_calls_uniform_once(monkeypatch, make_scenario):
     assert calls == scenario.trials * scenario.steps * props * agents
 
 
+def test_records_own_their_contributors_maps():
+    # A record's contributors maps are its own: editing one changes neither the
+    # rendered text, nor another record, nor the record's other proposition.
+    scenario = _quality_mapped_scenario()
+    trace, _ = run(scenario)
+    text = trace_to_jsonl(trace)
+    record = trace.records[0]
+    voters = record.contributors["p"]["a0"]
+    assert voters != ("a4",)
+    record.contributors["p"]["a0"] = ("a4",)
+    assert record.contributors["q"]["a0"] == voters
+    same_step_and_rule = trace.records[scenario.steps * len(scenario.rules)]  # trial 1
+    assert same_step_and_rule.contributors["p"]["a0"] == voters
+    assert trace_to_jsonl(trace) == text
+
+
 def test_a_raw_row_repeated_across_steps_renders_each_step():
     # a0 never errs and b0, b1 always do, so every (trial, step) has the same
     # raw row. Drift makes b0 the expert at step 1: the lattice and the

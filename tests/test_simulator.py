@@ -361,6 +361,21 @@ class TestMetrics:
         reordered = Trace(tuple(reversed(trace.records)))
         assert compute_metrics(reordered, scenario) == metrics
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"trials": 0}, "trials: expected an integer >= 1, got 0"),
+            ({"steps": 0}, "steps: expected an integer >= 1, got 0"),
+            ({"rules": ()}, "scenario needs at least one rule"),
+        ],
+        ids=["no-trials", "no-steps", "no-rules"],
+    )
+    def test_invalid_scenario_rejected(self, change, message):
+        # an empty trace matches a scenario with no outcomes; the scenario itself must fail
+        scenario = replace(build_intersection_scenario(), **change)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            compute_metrics(Trace(()), scenario)
+
     def test_incomplete_trace_rejected(self):
         scenario = self._tiny_scenario()
         truncated = Trace(self._tiny_trace().records[:1])
@@ -452,13 +467,17 @@ class TestMetrics:
         scenario = simple_scenario(
             schema,
             agents,
-            {"good": 0.0, "bad": 0.5, "ugly": 0.5},
+            {"good": 0.0, "bad": 0.5, "ugly": 1.0},
             rules=(MAJORITY,),
             trials=300,
         )
-        _, metrics = run(scenario)
+        trace, metrics = run(scenario)
         assert metrics.agent_accuracy["good"] == 1.0
         assert metrics.agent_accuracy["bad"] < 1.0
+        assert metrics.agent_accuracy["ugly"] == 0.0
+        # id order (bad, good, ugly) is not input order: both decoders must label bits alike
+        reloaded = compute_metrics(trace_from_jsonl(trace_to_jsonl(trace)), scenario)
+        assert reloaded.agent_accuracy == metrics.agent_accuracy
 
     def test_csv_shape(self):
         scenario = build_intersection_scenario()
