@@ -7,8 +7,9 @@ vectors and completed with two synthetic bound nodes: a virtual supremum
 reduction; the full dominance relation is kept as one int bit mask of
 dominators per agent, built by one sorted walk per feature, so expert
 queries and frontiers are mask operations. Each instance memoises the mask
-of a member set, the frontier of a mask and the ids of a mask, as one shared
-frozenset, so receivers that see the same agents share one frontier.
+of a member set, the frontier of a mask, the ids of a mask, as one shared
+frozenset, and the cumulative masks of the global depth layers, so receivers
+that see the same agents share one frontier.
 
 Instances are immutable; update/insert/remove return a fresh lattice that
 is observationally equal to building from scratch on the new population.
@@ -91,7 +92,8 @@ class DominanceLattice:
         self.dominators = dominators  # per real id: bit j set <=> real_ids[j] dominates it
         self._masks: dict[frozenset[str], int] = {}  # memos for the lattice's life: set -> mask,
         self._frontiers: dict[int, int] = {}  # mask -> the mask of its frontier,
-        self._members: dict[int, frozenset[str]] = {}  # mask -> its ids, one frozenset for all callers
+        self._members: dict[int, frozenset[str]] = {}  # mask -> its ids, one frozenset for all callers,
+        self._depths: list[int] = []  # k -> the mask of global depths 1..k, peeled on first use
 
     # -- identity ---------------------------------------------------------
 
@@ -165,10 +167,27 @@ class DominanceLattice:
         return self._frontiers[mask]
 
     def members(self, mask: int) -> frozenset[str]:
-        """The ids of a mask, as one frozenset shared by every caller."""
+        """The ids of a mask, as one frozenset shared by every caller; mask_of maps it back."""
         if mask not in self._members:
-            self._members[mask] = frozenset(self.real_ids[i] for i in _iter_bits(mask))
+            members = frozenset(self.real_ids[i] for i in _iter_bits(mask))
+            self._members[mask] = members
+            self._masks[members] = mask
         return self._members[mask]
+
+    def depth_upto(self, depth: int) -> int:
+        """The agents at global depths 1 to `depth` (>= 0), as a mask; past the last, everyone.
+
+        Depth 1 is the population's frontier, depth k the frontier of what
+        depths 1 to k-1 leave.
+        """
+        if not self._depths:
+            upto, rest = [0], (1 << len(self.real_ids)) - 1
+            while rest:
+                layer = self.frontier(rest)
+                upto.append(upto[-1] | layer)
+                rest ^= layer
+            self._depths = upto
+        return self._depths[min(depth, len(self._depths) - 1)]
 
     def frontier_of(self, among: Iterable[str]) -> frozenset[str]:
         """The shared frontier of `among`; the smallest id that is no real agent raises."""

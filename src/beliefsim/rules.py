@@ -8,7 +8,8 @@ set never depends on beliefs, so the simulator compiles it once per
 mask of the receivers that share it, which trials and the oracle vote
 over by popcount. Voters come from the lattice's masks and memos, as frozensets
 the lattice shares: under full broadcast, most-expert computes one frontier per
-step and majority counts one profile's ayes, not one of each per receiver.
+step, majority counts one profile's ayes and sub-group takes its layers from the
+lattice's global depth layers, not one of each per receiver.
 
 Tie policy, shared by all rules and the simulator and stated once, in
 :func:`_majority`: on an exact vote tie the receiver retains its own prior
@@ -153,6 +154,11 @@ def apply_subgroup_expert(
     layer 2 the frontier of the remainder, and so on. The receiver joins
     the vote iff include_self is set; with no visible experts the receiver
     is the only voter, so the result is its own belief.
+
+    Dominance is transitive, so every dominator of an expert is an expert
+    too: when every expert is visible (always, under full broadcast), layer
+    k is the receiver's experts at global depth k, read from
+    ``lattice.depth_upto`` instead of peeled.
     """
     if type(depth) is not int:  # 1.5 never counts down to 0
         raise ValidationError(f"depth must be an integer, got {depth!r}")
@@ -164,9 +170,12 @@ def apply_subgroup_expert(
     # The visible experts, as a mask: mask_of leaves out ids the lattice lacks.
     remaining = lattice.dominators[at] & lattice.mask_of(topology.visible(receiver, profile.agents))
     voters = 1 << at if include_self or not remaining else 0
-    while remaining and depth:  # peel off one frontier layer per level of depth
-        layer = lattice.frontier(remaining)
-        voters, remaining, depth = voters | layer, remaining ^ layer, depth - 1
+    if remaining == lattice.dominators[at]:  # every expert visible
+        voters |= remaining & lattice.depth_upto(depth)
+    else:
+        while remaining and depth:  # peel off one frontier layer per level of depth
+            layer = lattice.frontier(remaining)
+            voters, remaining, depth = voters | layer, remaining ^ layer, depth - 1
     contributors = lattice.members(voters)
     value, tie = _vote(contributors, profile.values.__getitem__, profile.value_of(receiver))
     return ReceiverOutcome(value, contributors, tie)

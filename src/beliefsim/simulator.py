@@ -58,6 +58,7 @@ from collections import Counter
 from collections.abc import Hashable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
 from itertools import product
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .beliefs import (
@@ -383,14 +384,16 @@ class _RunRecords(Sequence):
         """Per step: each rule's (head, contributors) text.
 
         The record head and the whole ``contributors`` map are fixed for a
-        (step, rule); each distinct voter set is rendered as JSON once.
+        (step, rule); each distinct voter set is rendered as a JSON list once,
+        from each agent's id quoted once, as ``json.dumps`` quotes a str.
         """
         plan = self._plan
+        quoted = dict(zip(plan.agents, map(encode_basestring_ascii, plan.agents)))
         for step, step_plan in enumerate(plan.steps):
             fixed = []  # per rule: (',"step":...,"raw":', ',"contributors":{...}')
             for rule in step_plan.rules:
                 voters = rule.contributors.values()
-                as_text = {v: json.dumps(v, separators=(",", ":")) for v in set(voters)}
+                as_text = {v: "[" + ",".join(map(quoted.__getitem__, v)) + "]" for v in set(voters)}
                 by_receiver = self._agents_template % tuple(map(as_text.__getitem__, voters))
                 fixed.append((
                     f',"step":{step},"rule":{json.dumps(rule.name)},'

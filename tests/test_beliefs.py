@@ -156,6 +156,15 @@ class TestStreams:
             assert bool(mask >> i & 1) == flipped
         assert mask >> len(agents) == 0
 
+    @pytest.mark.parametrize("p", [0.0, 0.25, 1.0])
+    def test_a_draw_equal_to_p_keeps_the_observation(self, monkeypatch, p):
+        # flip iff u < p, strictly: a draw of exactly p never flips
+        draws = []
+        monkeypatch.setattr(RandomStream, "uniform", lambda stream: draws.append(stream) or p)
+        tails = [stream_tail(agent, 0, "p") for agent in ("a", "b", "c")]
+        assert flip_mask(stream_head(7, 0), tails, [p] * len(tails)) == 0
+        assert len(draws) == len(tails)
+
     def test_per_agent_independence(self):
         # changing a2's error probability must not disturb a1's stream
         truth = constant_truth(True)

@@ -28,7 +28,7 @@ from beliefsim import (
 from beliefsim.rules import MAJORITY, MOST_EXPERT, _vote, apply_rule
 from beliefsim.simulator import _compile, lattices_by_step
 
-from support import brute_voters, make_profile, random_population, simple_scenario
+from support import brute_dominates, brute_voters, make_profile, random_population, simple_scenario
 
 RULES = [MOST_EXPERT, MAJORITY] + [
     Rule(RuleKind.SUBGROUP_EXPERT, depth, include_self)
@@ -116,6 +116,43 @@ def test_compiled_voters_equal_brute_force_reference(case, rng):
                     if receivers & bit[a]:
                         assert voters == sum(map(bit.__getitem__, plan.contributors[a]))
             assert covered == (1 << len(ids)) - 1
+
+
+SUBGROUP_RULES = [
+    Rule(RuleKind.SUBGROUP_EXPERT, depth, include_self)
+    for depth in (1, 2, 3, 5)
+    for include_self in (False, True)
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 3))
+def test_subgroup_voters_from_depth_layers_equal_brute_force(seed, n, features):
+    # A receiver that sees all its experts takes the lattice's global depth
+    # layers; one with a hidden expert peels its own. In the graph, even
+    # receivers see everyone and odd ones a random sample, so both paths run.
+    rng = random.Random(seed)
+    schema, agents = random_population(rng, n, features)
+    lattice = build(schema, agents)
+    ids = lattice.real_ids
+    dominates = brute_dominates(schema, agents)
+    rest, peeled = set(ids), [set()]  # peeled[k]: global depths 1..k, by brute frontiers
+    while rest:
+        layer = {a for a in rest if not any(a in dominates[u] for u in rest)}
+        peeled.append(peeled[-1] | layer)
+        rest -= layer
+    for depth in range(len(peeled) + 2):
+        assert lattice.members(lattice.depth_upto(depth)) == peeled[min(depth, len(peeled) - 1)]
+    graph = Topology.graph({
+        a: ids if i % 2 == 0 else rng.sample(ids, rng.randint(0, len(ids)))
+        for i, a in enumerate(ids)
+    })
+    profile = make_profile(dict.fromkeys(ids, True))
+    for topology in (Topology.full_broadcast(), graph):
+        for rule in SUBGROUP_RULES:
+            contributors = apply_rule(rule, lattice, profile, topology).contributors
+            expected = brute_voters(rule, schema, agents, topology)
+            assert {a: tuple(sorted(v)) for a, v in contributors.items()} == expected
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

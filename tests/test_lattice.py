@@ -273,6 +273,24 @@ class TestMutations:
             assert lattice.snapshot_text() == rebuilt.snapshot_text()
 
 
+class TestEquality:
+    def test_moved_agent_with_the_same_edges_differs(self, intersection):
+        _, _, lattice = intersection
+        moved = lattice.update_quality("s4", FeatureVector((5, 5)))
+        assert moved.cover_edges == lattice.cover_edges
+        assert moved != lattice
+
+    def test_added_agent_differs(self, intersection):
+        _, _, lattice = intersection
+        assert lattice.insert("s5", FeatureVector((5, 5))) != lattice
+
+    def test_changed_schema_differs(self, intersection):
+        _, agents, lattice = intersection
+        relabeled = build(make_schema((S, S), unit="m"), agents)
+        assert relabeled.nodes == lattice.nodes and relabeled.cover_edges == lattice.cover_edges
+        assert relabeled != lattice
+
+
 class TestSerialization:
     def test_snapshot_is_stable(self, intersection):
         schema, agents, lattice = intersection

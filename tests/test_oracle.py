@@ -195,6 +195,13 @@ class TestDomainChecks:
         with pytest.raises(OracleDomainError):
             exact_rule_accuracy(scenario)
 
+    def test_relation_changing_drift_names_its_step(self):
+        scenario = three_agent_scenario()
+        drift = (DriftEvent("a1", "f0", 1, value=1.5), DriftEvent("a1", "f0", 2, value=9.0))
+        scenario = replace(scenario, steps=3, drift=drift)
+        with pytest.raises(OracleDomainError, match=r"^drift changes the dominance relation at step 2;"):
+            exact_rule_accuracy(scenario)
+
     def test_accepts_relation_preserving_drift(self):
         scenario = three_agent_scenario()
         scenario = replace(

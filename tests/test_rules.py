@@ -338,6 +338,14 @@ class TestCheckConsistency:
         for pairs in report.contradictions.values():
             assert ("most-expert", "majority") in pairs
 
+    def test_contradictions_name_each_unordered_pair_once_in_rule_order(self, intersection):
+        # s1 dissents and outranks everyone: most-expert and subgroup:d=1 follow s1
+        profile = make_profile({"s1": False, "s2": True, "s3": True, "s4": True})
+        subgroup = Rule(RuleKind.SUBGROUP_EXPERT, 1)
+        report = check_consistency([MOST_EXPERT, MAJORITY, subgroup], intersection, profile, FULL)
+        pairs = (("most-expert", "majority"), ("majority", "subgroup:d=1"))
+        assert report.contradictions == dict.fromkeys(intersection.real_ids, pairs)
+
     def test_unanimous_profile_never_contradicts(self, intersection):
         profile = make_profile({a: True for a in intersection.real_ids})
         report = check_consistency(

@@ -110,6 +110,20 @@ class TestRun:
         with pytest.raises(ValidationError, match=r"^ground_truth\.7: not a declared proposition$"):
             validate_scenario(replace(base, ground_truth={**base.ground_truth, **extra}))
 
+    def test_ground_truth_entry_must_fall_before_the_last_step(self):
+        base = replace(build_intersection_scenario(), steps=3)
+
+        def flipped_at(step):
+            schedule = GroundTruthSchedule("pedestrian", ((0, True), (step, False)))
+            return replace(base, ground_truth={"pedestrian": schedule})
+
+        validate_scenario(flipped_at(2))
+        with pytest.raises(
+            ValidationError,
+            match=r"^ground truth for 'pedestrian' has entry at step 3, but scenario runs 3 steps$",
+        ):
+            validate_scenario(flipped_at(3))
+
     def test_probability_for_unknown_agent_rejected(self):
         probabilities = {"s1": 0.1, "s2": 0.2, "s3": 0.2, "s4": 0.3, "zz": 0.9, "yy": 0.5}
         scenario = replace(build_intersection_scenario(), error_model=ErrorModel.fixed(probabilities))
