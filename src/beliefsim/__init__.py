@@ -6,6 +6,10 @@ environment and aggregate them under configurable propagation rules
 (most-expert, majority, expert sub-groups). The simulator measures which
 rules improve collective reliability, reproducibly: one seed determines
 every observation.
+
+Only the enumeration oracle needs numpy, so `exact_rule_accuracy` is
+imported from `beliefsim.oracle` when it is first asked for, and
+`import beliefsim` leaves numpy unloaded.
 """
 
 from .beliefs import (
@@ -40,7 +44,6 @@ from .features import (
     meet,
 )
 from .lattice import BOTTOM_ID, TOP_ID, AgentNode, DominanceLattice, build
-from .oracle import exact_rule_accuracy
 from .rules import (
     MAJORITY,
     MOST_EXPERT,
@@ -74,6 +77,15 @@ from .simulator import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name == "exact_rule_accuracy":
+        from .oracle import exact_rule_accuracy
+
+        return exact_rule_accuracy
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AgentNode",

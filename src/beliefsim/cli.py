@@ -8,6 +8,12 @@ anything else propagates. Flags override file values (flag > file >
 default), and each command validates its scenario once, after the flags.
 Data files written by `run` contain no timestamps; run metadata lives in
 a separate manifest so the data outputs are byte-stable across reruns.
+
+Only `oracle` needs numpy, so only `exact_rule_accuracy` imports it, on
+its first call; `validate`, `run` and `inspect` never load it. That
+function stays a module-level name of this module, rather than an import
+inside `cmd_oracle`, so the oracle has one seam here that a caller can
+wrap, as the benchmark's tracer does.
 """
 
 from __future__ import annotations
@@ -21,10 +27,16 @@ from pathlib import Path
 
 from . import __version__
 from .errors import OracleDomainError, ValidationError
-from .oracle import exact_rule_accuracy
 from .rules import parse_rule
 from .scenario_io import load_scenario, read_scenario
 from .simulator import Metrics, Scenario, run, trace_blocks, trace_to_jsonl, validate_scenario
+
+
+def exact_rule_accuracy(scenario: Scenario) -> dict[str, float]:
+    """`oracle.exact_rule_accuracy`, imported (with numpy) on the first call."""
+    from .oracle import exact_rule_accuracy
+
+    return exact_rule_accuracy(scenario)
 
 
 def _error(message: str) -> None:

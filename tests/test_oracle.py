@@ -253,6 +253,33 @@ def test_enumeration_equals_matrix_reference_exactly(scenario):
         assert accuracies[name] == value, name
 
 
+# Outcome k = hi * 2^(n//2) + lo, so agents 0..n//2-1 are the low half.
+# Under a graph, a receiver's majority voters are its sources and itself.
+SPLIT_GRAPHS = {
+    # n = 1: the low half is empty; n = 2 and 3: it is one bit wide
+    "one agent": (1, None),
+    "two agents": (2, None),
+    "three agents": (3, None),
+    # voters {0, 2} one per half, even; {1} high, odd; {1, 2} high, even
+    "three agents, split pairs": (3, {"a000": ["a002"], "a001": [], "a002": ["a001"]}),
+    # voters {0, 1} all low, even; {1} low, odd; {2} high, odd; {2, 3} high, even
+    "four agents, each half alone": (4, {"a000": ["a001"], "a001": [], "a002": [], "a003": ["a002"]}),
+    # {2, 3, 4} all high, odd; {0, 1, 2, 3} both halves, even; {0, 1, 4} both, odd
+    "five agents": (5, {"a000": ["a001", "a002", "a003"], "a001": ["a000", "a004"], "a002": [],
+                        "a003": [], "a004": ["a002", "a003"]}),
+}
+
+
+@pytest.mark.parametrize("name", SPLIT_GRAPHS)
+def test_split_halves_equal_matrix_reference_exactly(name):
+    n, adjacency = SPLIT_GRAPHS[name]
+    schema, agents = random_population(random.Random(n), n, 2)
+    probabilities = {agent_id: 0.05 + 0.1 * i for i, (agent_id, _) in enumerate(agents)}
+    topology = Topology.full_broadcast() if adjacency is None else Topology.graph(adjacency)
+    scenario = simple_scenario(schema, agents, probabilities, rules=ALL_RULES, topology=topology)
+    assert exact_rule_accuracy(scenario) == matrix_rule_accuracy(scenario)
+
+
 @pytest.mark.parametrize("graph", [False, True])
 def test_cap_sized_scenario_matches_poisson_binomial(graph):
     rng = random.Random(20)
@@ -297,9 +324,11 @@ def test_printed_digits_do_not_depend_on_blas_threads(tmp_path):
 
 
 def test_enumeration_frees_each_rules_arrays_before_the_next():
-    # Kept per outcome: index (4 B), weight (8 B) and one rule's count (1 B);
-    # one rule's temporaries, a float64 share at most, add about 9 B. Arrays
-    # that outlived their rule would push the peak past 24 B per outcome.
+    # Kept per outcome: weight (8 B) and one rule's count grid (1 B); no
+    # outcome index is kept. One rule's temporaries, a uint8 gather per group
+    # and then its float64 shares, add about 8 B: 17.2 B in all. Arrays that
+    # outlived their rule, or an index array kept beside the grid, would push
+    # the peak past 20 B per outcome.
     rng = random.Random(22)
     schema, agents = random_population(rng, MAX_ORACLE_AGENTS, 3)
     probabilities = {agent_id: rng.uniform(0.05, 0.45) for agent_id, _ in agents}
@@ -312,4 +341,4 @@ def test_enumeration_frees_each_rules_arrays_before_the_next():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2**MAX_ORACLE_AGENTS * 24
+    assert peak < 2**MAX_ORACLE_AGENTS * 20
