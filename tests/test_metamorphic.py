@@ -1,16 +1,20 @@
 """Metamorphic relations between whole runs, and between oracle calls.
 
 Draws are keyed by (seed, trial, agent, step, proposition), never by truth
-values or the rule list, so two relations hold exactly and need no
-reference implementation:
+values, qualities, the trial count or the rule list, so four relations
+hold exactly and need no reference implementation:
 
 - value symmetry: negating every truth schedule complements each raw and
   propagated belief and leaves everything else, metrics.json included,
   unchanged; the oracle's docstring relies on it;
 - rule independence: any subset or reordering of the rules gives each
-  kept rule the same metrics.json entry and the same exact accuracy.
+  kept rule the same metrics.json entry and the same exact accuracy;
+- order-preserving feature maps: a strictly increasing affine map per
+  feature keeps every dominance relation, so metrics.json, the exact
+  accuracies and every trace record but its lattice digest are unchanged;
+- trial prefix: the first k trials of a trace are the whole k-trial trace.
 
-Each test covers both `run` and `exact_rule_accuracy`.
+Each test but the last covers both `run` and `exact_rule_accuracy`.
 """
 
 import json
@@ -18,7 +22,14 @@ from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
-from beliefsim import GroundTruthSchedule, exact_rule_accuracy, run
+from beliefsim import (
+    DriftEvent,
+    FeatureVector,
+    GroundTruthSchedule,
+    exact_rule_accuracy,
+    run,
+    trace_to_jsonl,
+)
 
 from test_oracle import oracle_scenarios
 from test_run_kernel import scenarios
@@ -31,6 +42,31 @@ def negated(scenario):
             prop: GroundTruthSchedule(prop, tuple((step, not value) for step, value in schedule.entries))
             for prop, schedule in scenario.ground_truth.items()
         },
+    )
+
+
+@st.composite
+def feature_maps(draw, scenario):
+    # Integer maps of the strategies' integer values are exact, so no two values merge.
+    return [(draw(st.integers(1, 4)), draw(st.integers(-9, 9))) for _ in scenario.schema.names]
+
+
+def mapped(scenario, maps):
+    """`scenario` with x -> a * x + b on each feature's qualities and drift
+    values, and delta -> a * delta on its drift deltas."""
+    def point(values):
+        return FeatureVector(tuple(a * x + b for (a, b), x in zip(maps, values)))
+
+    def event(e):
+        a, b = maps[scenario.schema.index_of(e.feature)]
+        if e.delta is None:
+            return replace(e, value=a * e.value + b)
+        return replace(e, delta=a * e.delta)
+
+    return replace(
+        scenario,
+        agents=tuple((agent_id, point(quality.values)) for agent_id, quality in scenario.agents),
+        drift=tuple(event(e) for e in scenario.drift),
     )
 
 
@@ -84,3 +120,37 @@ def test_a_subset_or_reordering_of_rules_keeps_each_rules_results(scenario, orac
     exact = exact_digits(oracle_scenario)
     rules = kept_rules(data, oracle_scenario.rules)
     assert exact_digits(replace(oracle_scenario, rules=rules)) == {rule.name: exact[rule.name] for rule in rules}
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenario=scenarios(), oracle_scenario=oracle_scenarios(), data=st.data())
+def test_an_increasing_affine_map_per_feature_keeps_results(scenario, oracle_scenario, data):
+    ids = [agent_id for agent_id, _ in scenario.agents]
+    values = tuple(
+        DriftEvent(
+            data.draw(st.sampled_from(ids)),
+            data.draw(st.sampled_from(scenario.schema.names)),
+            data.draw(st.integers(0, scenario.steps - 1)),
+            value=float(data.draw(st.integers(0, 6))),
+        )
+        for _ in range(data.draw(st.integers(0, 2)))
+    )
+    scenario = replace(scenario, drift=scenario.drift + values)
+    trace, metrics = run(scenario)
+    mapped_trace, mapped_metrics = run(mapped(scenario, data.draw(feature_maps(scenario))))
+    assert metrics_json(mapped_metrics) == metrics_json(metrics)
+    assert len(mapped_trace.records) == len(trace.records)
+    for record, other in zip(trace.records, mapped_trace.records):
+        assert other == replace(record, lattice_digest=other.lattice_digest)
+
+    maps = data.draw(feature_maps(oracle_scenario))
+    assert exact_digits(mapped(oracle_scenario, maps)) == exact_digits(oracle_scenario)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenario=scenarios(), data=st.data())
+def test_the_first_k_trials_of_a_trace_are_the_k_trial_trace(scenario, data):
+    k = data.draw(st.integers(1, scenario.trials))
+    lines = trace_to_jsonl(run(scenario)[0]).splitlines(keepends=True)
+    prefix = trace_to_jsonl(run(replace(scenario, trials=k))[0])
+    assert "".join(lines[: k * scenario.steps * len(scenario.rules)]) == prefix

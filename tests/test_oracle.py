@@ -12,6 +12,7 @@ from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
 import beliefsim
+from beliefsim import oracle
 from beliefsim import (
     Direction,
     DriftEvent,
@@ -280,6 +281,31 @@ def test_split_halves_equal_matrix_reference_exactly(name):
     assert exact_rule_accuracy(scenario) == matrix_rule_accuracy(scenario)
 
 
+# (agents, sources per receiver under a graph, or None for full broadcast).
+# An odd source count gives each majority voter set an even size, so ties.
+BLOCK_CASES = [(10, None), (11, 1), (12, 3), (13, None)]
+
+
+@pytest.mark.parametrize("block_bits", [7, 8, 9])
+@pytest.mark.parametrize("n, sources", BLOCK_CASES)
+def test_blocks_equal_matrix_reference_exactly(monkeypatch, n, sources, block_bits):
+    # Each scenario spans 2 to 64 blocks; the accuracy adds the block sums
+    # pairwise, so it must equal one numpy sum over all 2^n outcomes.
+    monkeypatch.setattr(oracle, "BLOCK_OUTCOMES", 2**block_bits)
+    rng = random.Random(n)
+    schema, agents = random_population(rng, n, 2)
+    ids = [agent_id for agent_id, _ in agents]
+    probabilities = {agent_id: rng.uniform(0.05, 0.45) for agent_id in ids}
+    probabilities.update(zip(rng.sample(ids, 3), (0.0, 0.5, 1.0)))
+    topology = Topology.full_broadcast()
+    if sources is not None:
+        topology = Topology.graph(
+            {a: rng.sample([b for b in ids if b != a], sources) for a in ids}
+        )
+    scenario = simple_scenario(schema, agents, probabilities, rules=ALL_RULES, topology=topology)
+    assert exact_rule_accuracy(scenario) == matrix_rule_accuracy(scenario)
+
+
 @pytest.mark.parametrize("graph", [False, True])
 def test_cap_sized_scenario_matches_poisson_binomial(graph):
     rng = random.Random(20)
@@ -324,11 +350,12 @@ def test_printed_digits_do_not_depend_on_blas_threads(tmp_path):
 
 
 def test_enumeration_frees_each_rules_arrays_before_the_next():
-    # Kept per outcome: weight (8 B) and one rule's count grid (1 B); no
-    # outcome index is kept. One rule's temporaries, a uint8 gather per group
-    # and then its float64 shares, add about 8 B: 17.2 B in all. Arrays that
-    # outlived their rule, or an index array kept beside the grid, would push
-    # the peak past 20 B per outcome.
+    # Outcomes are enumerated in blocks of oracle.BLOCK_OUTCOMES (2^16), so
+    # no array has 2^n entries: the block's weights and one rule's count,
+    # gather and shares, about 17 B per block outcome, beside every rule's
+    # small per-group tables. 20 agents and 4 rules peak at 2.4 MiB. The
+    # bound does not grow with n: a float64 array over all 2^20 outcomes
+    # alone would pass it twice over.
     rng = random.Random(22)
     schema, agents = random_population(rng, MAX_ORACLE_AGENTS, 3)
     probabilities = {agent_id: rng.uniform(0.05, 0.45) for agent_id, _ in agents}
@@ -341,4 +368,4 @@ def test_enumeration_frees_each_rules_arrays_before_the_next():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2**MAX_ORACLE_AGENTS * 20
+    assert peak < 4 * 2**20
