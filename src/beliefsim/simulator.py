@@ -38,10 +38,13 @@ A run goes in four parts:
   lines straight from the rows, byte for byte what ``TraceRecord.to_dict``
   plus ``json.dumps`` give. The renderer owns the line format and renders
   each (step, raw row)'s lines once, after ``{"trial":N`` (see
-  ``_RunRecords.jsonl``). :func:`trace_blocks` cuts the trace into ranges
-  of whole trials, about TRACE_BLOCK_BYTES of text each, so ``beliefsim run``
-  writes ``trace.jsonl`` block by block and never holds the whole text;
-  the whole trace is one range.
+  ``_RunRecords.jsonl``); it keeps each receiver's voter list, and joins
+  the O(agents²) ``contributors`` maps only into the lines it renders.
+  :func:`trace_blocks` cuts the trace into ranges of whole (trial, step)
+  points, about TRACE_BLOCK_BYTES of text each, so ``beliefsim run``
+  writes ``trace.jsonl`` block by block and never holds more than a
+  block's text, or one point's if that is larger; the whole trace is one
+  range.
 
 Trace records are flat: one per (trial, step, rule), with per-proposition
 maps inside. Metrics are a pure function of the trace plus the scenario's
@@ -54,10 +57,11 @@ from __future__ import annotations
 import copy
 import json
 import math
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Hashable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import islice, product
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -317,14 +321,16 @@ class _Plan(NamedTuple):
 
 
 class _RunRecords(Sequence):
-    """The records of a range of a run's trials, kept as raw rows and built on demand.
+    """The records of a range of a run's (trial, step) points, kept as raw rows, built on demand.
 
     A trial's row holds, per step, one raw mask per proposition, bit i set
     when the plan's agent i believes it. The outcomes of every raw row are
     in its step's memo, which holds exactly the run's distinct raw rows.
-    `uses` counts the trials that have each (step, raw row); :meth:`jsonl`
-    keeps a row's rendered tails while more trials need them. The views that
-    :meth:`blocks` returns share the run's rows, these counts and that text.
+    Point p is step ``p % steps`` of trial ``p // steps``, and its records
+    are one per rule. `uses` counts the trials that have each (step, raw
+    row); :meth:`jsonl` keeps a row's rendered tails while more trials need
+    them. The views that :meth:`blocks` returns share the run's rows, these
+    counts and that text.
     """
 
     def __init__(
@@ -332,17 +338,21 @@ class _RunRecords(Sequence):
     ) -> None:
         self._plan = plan
         self._rows = rows  # per trial of the whole run
-        self._trials = range(len(rows))  # the trials of this view
+        self._steps = len(plan.steps)
+        self._points = range(len(rows) * self._steps)  # the points of this view
         self._uses = uses  # (step, raw) -> the run's rows of it
         self._tails: dict = {}  # (step, raw) of more than one trial -> each rule's line tail
         self._fixed: list = []  # per step: each rule's fixed text
         self._props_template = _template(plan.propositions)
         self._agents_template = _template(plan.agents)
+        # {proposition: {agent: %s}}: one '%s' per (proposition, agent), for its voters
+        self._contributors_template = self._props_template % (
+            (self._agents_template,) * len(plan.propositions)
+        )
         self._rules = len(plan.steps[0].rules)
-        self._per_trial = len(plan.steps) * self._rules
 
     def __len__(self) -> int:
-        return len(self._trials) * self._per_trial
+        return len(self._points) * self._rules
 
     def __getitem__(self, index):
         try:
@@ -351,9 +361,8 @@ class _RunRecords(Sequence):
             raise IndexError(f"trace record index {index} out of range") from None
         if isinstance(position, range):
             return tuple(map(self.__getitem__, position))
-        at, rest = divmod(position, self._per_trial)
-        trial = self._trials[at]
-        step, rule = divmod(rest, self._rules)
+        at, rule = divmod(position, self._rules)
+        trial, step = divmod(self._points[at], self._steps)
         step_plan = self._plan.steps[step]
         raw = self._rows[trial][step]
         propagated, ties = step_plan.outcomes[raw][rule]
@@ -369,37 +378,55 @@ class _RunRecords(Sequence):
         )
 
     def blocks(self) -> Iterator["_RunRecords"]:
-        """Views of as many whole trials as TRACE_BLOCK_BYTES of text hold, and at least one."""
+        """Views of as many whole points as TRACE_BLOCK_BYTES of text hold, and at least one.
+
+        A point's text is estimated from its step's fixed text: each rule's
+        head and ``contributors`` map, and three maps of bools.
+        """
         if not self._fixed:
             self._fixed.extend(self._fixed_texts())
-        line_maps = 3 * len(self._plan.propositions) * len(self._agents_template)
-        trial_bytes = sum(len(h) + len(c) + line_maps for fixed in self._fixed for h, c in fixed)
-        size = max(1, TRACE_BLOCK_BYTES // trial_bytes)
-        for start in range(0, len(self._trials), size):
+        props, n = len(self._plan.propositions), len(self._plan.agents)
+        line_maps = 3 * props * len(self._agents_template)
+        contributors = len(',"contributors":' + self._contributors_template % (("",) * props * n))
+        # ends[s]: the bytes of a trial's steps before step s; ends[-1], a whole trial's
+        ends = [0]
+        for fixed in self._fixed:
+            ends.append(ends[-1] + sum(
+                len(head) + contributors + props * sum(map(len, voters)) + line_maps
+                for head, voters in fixed
+            ))
+        start, stop = self._points.start, self._points.stop
+        while start < stop:
+            # Counting bytes from the run's first point, the block ends at the last
+            # point boundary within TRACE_BLOCK_BYTES of its start.
+            trial, step = divmod(start, self._steps)
+            trial, rest = divmod(trial * ends[-1] + ends[step] + TRACE_BLOCK_BYTES, ends[-1])
+            end = min(max(trial * self._steps + bisect_right(ends, rest) - 1, start + 1), stop)
             block = copy.copy(self)
-            block._trials = self._trials[start : start + size]
+            block._points = range(start, end)
             yield block
+            start = end
 
-    def _fixed_texts(self) -> Iterator[list[tuple[str, str]]]:
-        """Per step: each rule's (head, contributors) text.
+    def _fixed_texts(self) -> Iterator[list[tuple[str, tuple[str, ...]]]]:
+        """Per step: each rule's record head and, per receiver, its voters as a JSON list.
 
-        The record head and the whole ``contributors`` map are fixed for a
-        (step, rule); each distinct voter set is rendered as a JSON list once,
-        from each agent's id quoted once, as ``json.dumps`` quotes a str.
+        Each distinct voter set of a (step, rule) is rendered as a JSON list
+        once, from each agent's id quoted once, as ``json.dumps`` quotes a
+        str, and its receivers share that text. The ``contributors`` map
+        itself, O(agents²) of text, is built only into the lines that
+        :meth:`_render` renders.
         """
         plan = self._plan
         quoted = dict(zip(plan.agents, map(encode_basestring_ascii, plan.agents)))
         for step, step_plan in enumerate(plan.steps):
-            fixed = []  # per rule: (',"step":...,"raw":', ',"contributors":{...}')
+            fixed = []  # per rule: (',"step":...,"raw":', each receiver's voters)
             for rule in step_plan.rules:
                 voters = rule.contributors.values()
                 as_text = {v: "[" + ",".join(map(quoted.__getitem__, v)) + "]" for v in set(voters)}
-                by_receiver = self._agents_template % tuple(map(as_text.__getitem__, voters))
                 fixed.append((
                     f',"step":{step},"rule":{json.dumps(rule.name)},'
                     f'"lattice_digest":{json.dumps(step_plan.digest)},"raw":',
-                    ',"contributors":'
-                    + self._props_template % ((by_receiver,) * len(plan.propositions)),
+                    tuple(map(as_text.__getitem__, voters)),
                 ))
             yield fixed
 
@@ -407,21 +434,23 @@ class _RunRecords(Sequence):
         """Each rule's line after ``{"trial":N`` for a raw row, which fixes its outcomes."""
         if not self._fixed:
             self._fixed.extend(self._fixed_texts())
-        agents_template, n = self._agents_template, len(self._plan.agents)
+        props_template, agents_template = self._props_template, self._agents_template
+        contributors_template = self._contributors_template
+        props, n = len(self._plan.propositions), len(self._plan.agents)
         outcomes = self._plan.steps[step].outcomes[raw]
 
         def text(rows) -> str:
             """{proposition: {agent: bool}} as JSON, from one mask per proposition."""
-            return self._props_template % tuple(
+            return props_template % tuple(
                 agents_template % tuple(map(_JSON_BOOL.__getitem__, _bools(mask, n)))
                 for mask in rows
             )
 
         raw_text = text(raw)
         return tuple(
-            f'{head}{raw_text},"propagated":{text(propagated)}'
-            f'{contributors},"tie_broken":{text(ties)}}}\n'
-            for (head, contributors), (propagated, ties) in zip(self._fixed[step], outcomes)
+            f'{head}{raw_text},"propagated":{text(propagated)},"contributors":'
+            f'{contributors_template % (voters * props)},"tie_broken":{text(ties)}}}\n'
+            for (head, voters), (propagated, ties) in zip(self._fixed[step], outcomes)
         )
 
     def jsonl(self) -> str:
@@ -430,15 +459,21 @@ class _RunRecords(Sequence):
         The bytes are what ``TraceRecord.to_dict`` plus ``json.dumps`` give.
         Each line is a trial's ``{"trial":N`` and a tail shared by every
         row equal to its own. Tails are kept only for rows that more than
-        one trial has, and dropped when a rendering reaches the last trial,
-        so up to then each (step, raw row) is rendered once, whichever
+        one trial has, and dropped when a rendering reaches the run's last
+        point, so up to then each (step, raw row) is rendered once, whichever
         blocks come first, and a row of one trial is never kept.
         """
-        tails, uses = self._tails, self._uses
+        tails, uses, rows, steps = self._tails, self._uses, self._rows, self._steps
+        start, stop = self._points.start, self._points.stop
+        first, skip = divmod(start, steps)
+        last, end = divmod(stop - 1, steps)
         parts = []
-        for trial in self._trials:
+        for trial in range(first, last + 1):
             trial_text = '{"trial":' + str(trial)
-            for key in enumerate(self._rows[trial]):  # (step, raw)
+            keys = enumerate(rows[trial])
+            if not first < trial < last:  # only the first and last trial may be cut short
+                keys = islice(keys, skip if trial == first else 0, end + 1 if trial == last else steps)
+            for key in keys:  # (step, raw)
                 lines = tails.get(key)
                 if lines is None:
                     lines = self._render(*key)
@@ -446,24 +481,24 @@ class _RunRecords(Sequence):
                         tails[key] = lines
                 for tail in lines:
                     parts += (trial_text, tail)
-        if self._trials[-1] == len(self._rows) - 1:
-            # Last trial: the next rendering starts afresh. Freeing the fixed text before the
-            # join cut crowd-drift's peak by 1.3 MB, 0.15 MB more than after it.
+        if stop == len(rows) * steps:
+            # The run's last point: the next rendering starts afresh.
             self._fixed.clear()
             tails.clear()
         return "".join(parts)
 
 
-# Bytes of text per block of trace_blocks, at most, unless one trial is larger: 26
-# intersection trials a block; a crowd-drift trial (1.3 MB) is its own block.
+# Bytes of text per block of trace_blocks, at most, unless one point is larger: 80
+# intersection points a block; a crowd-drift point (330 kB) is its own block.
 TRACE_BLOCK_BYTES = 2**16
 
 
 def trace_blocks(trace: Trace) -> Iterator[Trace]:
     """The trace as consecutive blocks whose ``trace_to_jsonl`` texts join to the whole.
 
-    A trace from :func:`run` comes in blocks of whole trials, numbered as in
-    the run (see ``_RunRecords.blocks``); any other trace is one block.
+    A trace from :func:`run` comes in blocks of whole (trial, step) points,
+    numbered as in the run (see ``_RunRecords.blocks``); any other trace is
+    one block.
     """
     if isinstance(trace.records, _RunRecords):
         yield from map(Trace, trace.records.blocks())

@@ -560,15 +560,17 @@ class TestTraceSerialization:
             ]
 
     def test_blocks_are_sized_by_bytes_alone(self, scenario_dir):
-        # blocks() estimates an intersection trial at 2,442 bytes, so 26 trials fill 2**16.
+        # blocks() estimates an intersection point, one (trial, step), at 814 bytes, so 80
+        # points fill 2**16: 26 trials and 2 steps, and the 6,000 points make 75 blocks.
         scenario = replace(read_scenario(scenario_dir / "intersection.scn"), trials=2000, seed=42)
         trace = run(scenario)[0]
-        sizes = [len(block.records) // 9 for block in trace_blocks(trace)]
-        assert sizes == [26] * 76 + [24]
-        # A 200-agent trial passes the cap alone, so it is its own block.
+        sizes = [len(block.records) // 3 for block in trace_blocks(trace)]
+        assert sizes == [80] * 75
+        # A 200-agent point passes the cap alone, so it is its own block.
         crowd = replace(parse_scenario(json.loads(crowd_scenario("full_broadcast"))), trials=2)
-        per_trial = crowd.steps * len(crowd.rules)
-        assert [len(block.records) for block in trace_blocks(run(crowd)[0])] == [per_trial] * 2
+        points = crowd.trials * crowd.steps
+        blocks = [len(block.records) for block in trace_blocks(run(crowd)[0])]
+        assert blocks == [len(crowd.rules)] * points == [4] * 6
 
     def _two_trial_text(self):
         return trace_to_jsonl(run(replace(build_intersection_scenario(), trials=2))[0])

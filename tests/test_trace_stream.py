@@ -1,13 +1,16 @@
-"""`beliefsim run` writes trace.jsonl in blocks of whole trials.
+"""`beliefsim run` writes trace.jsonl in blocks of whole (trial, step) points.
 
-The streamed file must equal the whole run rendered at once and the
+A block may cut a trial between its steps, never a point between its
+rules. The streamed file must equal the whole run rendered at once and the
 record path (TraceRecord.to_dict + json.dumps) at every block boundary,
 and the manifest must count what was written. The writer must not hold
-the whole text, and it renders each (step, raw row)'s line tails once and
-keeps none after the last block.
+the whole text, nor more than a block's points of 200-agent text, and it
+renders each (step, raw row)'s line tails once and keeps none after the
+last block.
 """
 
 import json
+import random
 import tracemalloc
 from dataclasses import replace
 
@@ -23,13 +26,15 @@ from test_byte_pins import MIXED_SCENARIO, crowd_scenario
 
 
 def _mixed_block() -> int:
-    """The trials in a full block of the mixed scenario's trace, as trace_blocks cuts it."""
+    """The points in a full block of the mixed scenario's trace, as trace_blocks cuts it."""
     scenario = replace(parse_scenario(yaml.safe_load(MIXED_SCENARIO)), trials=100)
     first = next(trace_blocks(run(scenario)[0]))
-    return len(first.records) // (scenario.steps * len(scenario.rules))
+    return len(first.records) // len(scenario.rules)
 
 
 BLOCK = _mixed_block()
+STEPS = 4  # the mixed scenario's steps: a trial is STEPS points
+TRIALS = BLOCK // STEPS  # the whole trials that fit in a block
 
 
 @pytest.fixture
@@ -45,11 +50,14 @@ def _run_cli(scenario, trials, out, *flags):
     return out
 
 
-# 33 trials is a fixed many-block case: it spans several blocks whatever size
-# trace_blocks cuts, so the run is checked past the first two boundaries too.
+# Runs of the whole trials that fit in one block, one trial fewer, one more (its
+# last trial cut between two blocks unless BLOCK is a multiple of STEPS), and the
+# trials that two blocks' points hold. 33 trials is a fixed many-block case: it
+# spans several blocks whatever size trace_blocks cuts, so the run is checked
+# past the first two boundaries too.
 @pytest.mark.parametrize(
     "trials",
-    sorted({1, max(BLOCK - 1, 1), BLOCK, BLOCK + 1, 2 * BLOCK + 1, 33}),
+    sorted({1, max(TRIALS - 1, 1), max(TRIALS, 1), TRIALS + 1, 2 * BLOCK // STEPS, 33}),
 )
 def test_streamed_trace_equals_whole_and_record_renderings(trials, mixed, tmp_path, capsys):
     out = _run_cli(mixed, trials, tmp_path / "out")
@@ -133,18 +141,89 @@ def test_writing_the_trace_holds_no_whole_copy(scenario_dir, tmp_path, capsys):
     assert peak < 4 * 2**20
 
 
-def test_a_block_of_200_agent_trials_is_capped_by_size(tmp_path, capsys):
-    # A 200-agent trial here renders about 360 kB, so blocks of BLOCK trials
-    # would hold about 2.9 MB of text beside its encoded copy. Blocks capped
-    # near TRACE_BLOCK_BYTES hold one trial each.
-    doc = json.loads(crowd_scenario("full_broadcast"))
-    doc.update(steps=1, drift=[])
-    scenario = tmp_path / "crowd.scn"
+def _peak_of_run(doc, trials, out) -> int:
+    """The tracemalloc peak, in bytes, of `beliefsim run` on a scenario document."""
+    scenario = out.parent / "scenario.scn"
     scenario.write_text(json.dumps(doc), encoding="utf-8")
     tracemalloc.start()
     try:
-        _run_cli(scenario, 2 * BLOCK + 1, tmp_path / "out")
-        peak = tracemalloc.get_traced_memory()[1]
+        _run_cli(scenario, trials, out)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20
+
+
+def test_a_block_of_200_agent_trials_is_capped_by_size(tmp_path, capsys):
+    # A 200-agent trial here is one point of about 360 kB of text, so blocks of
+    # BLOCK points would hold about 12 MB beside its encoded copy. Blocks capped
+    # near TRACE_BLOCK_BYTES hold one point each. With each contributors map
+    # built into the lines of a point, this peaks at 1.00 MiB; with every
+    # (step, rule)'s map kept for the whole rendering, it peaked at 1.27 MiB.
+    doc = json.loads(crowd_scenario("full_broadcast"))
+    doc.update(steps=1, drift=[])
+    assert _peak_of_run(doc, 2 * BLOCK + 1, tmp_path / "out") < 1.15 * 2**20
+
+
+def test_a_200_agent_drifting_run_holds_one_point_of_text(tmp_path, capsys):
+    # The shape of the benchmark's crowd-drift workload: 200 agents, 4 steps
+    # with drift on every step after the first, 2 trials, 3 rules. A point
+    # renders about 330 kB of text, 290 kB of it majority's contributors map.
+    # Blocks of one point peak at 1.67 MiB here; blocks of whole trials, with
+    # every (step, rule)'s contributors map kept, peaked at 4.17 MiB.
+    doc = json.loads(crowd_scenario("full_broadcast"))
+    rng = random.Random("crowd-drift-shape")
+    features = [feature["name"] for feature in doc["schema"]]
+    doc.update(
+        steps=4,
+        drift=[
+            {"agent": agent, "feature": rng.choice(features), "step": step,
+             "value": float(rng.randrange(7))}
+            for step in (1, 2, 3)
+            for agent in rng.sample(sorted(doc["agents"]), 2)
+        ],
+        rules=["most-expert", "majority", "subgroup:d=2,self"],
+    )
+    assert _peak_of_run(doc, 2, tmp_path / "out") < 2.5 * 2**20
+
+
+# The graph crowd has 200 agents on a graph topology, drifting at steps 1 and 2.
+@pytest.mark.parametrize("block_bytes", [1, 512, 2**12, 2**16])
+@pytest.mark.parametrize(
+    "text, trials",
+    [(MIXED_SCENARIO, 20), (crowd_scenario("graph"), 2)],
+    ids=["mixed", "graph-crowd"],
+)
+def test_every_block_size_cuts_at_points(block_bytes, text, trials, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(simulator, "TRACE_BLOCK_BYTES", block_bytes)
+    path = tmp_path / "scenario.scn"
+    path.write_text(text, encoding="utf-8")
+    scenario = replace(read_scenario(path), trials=trials)
+    trace = run(scenario)[0]
+    records = trace.records
+    rendered = []
+    render = simulator._RunRecords._render
+
+    def counted(self, *key):
+        rendered.append(key)
+        return render(self, *key)
+
+    monkeypatch.setattr(simulator._RunRecords, "_render", counted)
+    blocks = list(trace_blocks(trace))
+    texts = list(map(trace_to_jsonl, blocks))
+    distinct = {(step, raw) for row in records._rows for step, raw in enumerate(row)}
+    assert sorted(rendered) == sorted(distinct)
+    assert not records._tails
+    assert all(len(block.records) % len(scenario.rules) == 0 for block in blocks)
+    # Every size here cuts some trial between two blocks.
+    assert any(block.records._points.start % scenario.steps for block in blocks)
+
+    reference = "".join(
+        json.dumps(record.to_dict(), separators=(",", ":")) + "\n" for record in records
+    )
+    assert "".join(texts) == trace_to_jsonl(trace) == reference
+    out = _run_cli(path, trials, tmp_path / "out")
+    written = (out / "trace.jsonl").read_bytes()
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert written == reference.encode("utf-8")
+    assert manifest["records"] == written.count(b"\n") == len(records)
+    assert manifest["trace_bytes"] == len(written)
