@@ -23,28 +23,28 @@ A run goes in four parts:
 - **Rows.** A trial encodes its stream key head once. Per step and
   proposition, :func:`~beliefsim.beliefs.flip_mask` draws every agent's
   flip, one ``RandomStream.uniform`` call each; XORed with the truth
-  mask, that is the raw row. The trial keeps only these raw beliefs, one
-  int mask per proposition and step.
-  Each step's memo maps a whole raw row to every rule's propagated and
-  tie-broken masks, and the trials fill it: a new row costs one popcount
-  and one ``rules._majority`` call per group and proposition.
-- **Tally.** :func:`run` counts each step's raw rows and tallies them, by
-  popcounts, with their memoised outcomes. :func:`compute_metrics`
-  validates its scenario, turns a trace's records into the same masks and
-  feeds the same tally of integer counts, so both give byte-equal metrics.
-- **Lazy records.** The trace that :func:`run` returns keeps the rows
-  and reads outcomes from the memo. Its ``records`` build a TraceRecord
-  only when indexed or iterated, and :func:`trace_to_jsonl` renders its
-  lines straight from the rows, byte for byte what ``TraceRecord.to_dict``
-  plus ``json.dumps`` give. The renderer owns the line format and renders
+  mask, that is the raw row, one int mask per proposition. Each step's
+  memo maps a whole raw row to its entry: the row and every rule's
+  propagated and tie-broken masks. The trials fill it, and a trial keeps
+  one entry per step, which trials with equal rows share. A new row costs
+  one popcount and one ``rules._majority`` call per group and proposition.
+- **Tally.** :func:`run` counts the trials of each memo entry and tallies
+  the entries, by popcounts. :func:`compute_metrics` validates its
+  scenario, turns a trace's records into the same masks and feeds the
+  same tally of integer counts, so both give byte-equal metrics.
+- **Lazy records.** The trace that :func:`run` returns keeps the rows of
+  memo entries. Its ``records`` build a TraceRecord only when indexed or
+  iterated, and :func:`trace_to_jsonl` renders its lines straight from
+  the rows, byte for byte what ``TraceRecord.to_dict`` plus
+  ``json.dumps`` give. The renderer owns the line format and renders
   each (step, raw row)'s lines once, after ``{"trial":N`` (see
   ``_RunRecords.jsonl``); it keeps each receiver's voter list, and joins
   the O(agents²) ``contributors`` maps only into the lines it renders.
   :func:`trace_blocks` cuts the trace into ranges of whole (trial, step)
-  points, about TRACE_BLOCK_BYTES of text each, so ``beliefsim run``
-  writes ``trace.jsonl`` block by block and never holds more than a
-  block's text, or one point's if that is larger; the whole trace is one
-  range.
+  points, as many as TRACE_BLOCK_BYTES holds of the run's longest point,
+  so ``beliefsim run`` writes ``trace.jsonl`` block by block and never
+  holds more than TRACE_BLOCK_BYTES of text, or one point's if that is
+  larger; the whole trace is one range.
 
 Trace records are flat: one per (trial, step, rule), with per-proposition
 maps inside. Metrics are a pure function of the trace plus the scenario's
@@ -57,11 +57,10 @@ from __future__ import annotations
 import copy
 import json
 import math
-from bisect import bisect_right
 from collections import Counter
 from collections.abc import Hashable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
-from itertools import islice, product
+from itertools import chain, islice, product
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -284,6 +283,11 @@ def _bools(mask: int, n: int) -> Iterator[bool]:
     return map("1".__eq__, f"{mask:0{n}b}"[::-1])
 
 
+def _line(head: str, raw: str, propagated: str, contributors: str, ties: str) -> str:
+    """A trace line after ``{"trial":N``: the record's head (step to "raw") and its four maps."""
+    return f'{head}{raw},"propagated":{propagated},"contributors":{contributors},"tie_broken":{ties}}}\n'
+
+
 def _template(keys: Sequence[str]) -> str:
     """A '%'-template of a JSON object with these keys, one '%s' per value."""
     return "{" + ",".join(json.dumps(k).replace("%", "%%") + ":%s" for k in keys) + "}"
@@ -306,9 +310,9 @@ class _StepPlan(NamedTuple):
     truth: tuple[int, ...]  # per proposition: every agent's bit if true, else 0
     tails: tuple[tuple[bytes, ...], ...]  # per proposition, each agent's stream_tail
     rules: tuple[_RulePlan, ...]
-    # Raw masks -> each rule's (propagated, tie_broken) masks, filled by the
-    # trials. Votes depend on nothing else, and small groups repeat raw rows.
-    outcomes: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]]
+    # Raw masks -> (them, each rule's (propagated, tie_broken) masks), filled by the
+    # trials, whose rows share these entries: small groups repeat raw rows.
+    outcomes: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[tuple[tuple, tuple], ...]]]
 
 
 class _Plan(NamedTuple):
@@ -321,27 +325,25 @@ class _Plan(NamedTuple):
 
 
 class _RunRecords(Sequence):
-    """The records of a range of a run's (trial, step) points, kept as raw rows, built on demand.
+    """The records of a range of a run's (trial, step) points, kept as memo entries, built on demand.
 
-    A trial's row holds, per step, one raw mask per proposition, bit i set
-    when the plan's agent i believes it. The outcomes of every raw row are
-    in its step's memo, which holds exactly the run's distinct raw rows.
-    Point p is step ``p % steps`` of trial ``p // steps``, and its records
-    are one per rule. `uses` counts the trials that have each (step, raw
-    row); :meth:`jsonl` keeps a row's rendered tails while more trials need
-    them. The views that :meth:`blocks` returns share the run's rows, these
-    counts and that text.
+    A trial's row holds, per step, its step memo's ``(raw, outcomes)``
+    entry: one raw mask per proposition, bit i set when the plan's agent i
+    believes it, and each rule's (propagated, tie_broken) masks. Point p
+    is step ``p % steps`` of trial ``p // steps``, and its records are one
+    per rule. `uses` counts each entry's trials by its ``id``, unique while
+    the rows hold it; :meth:`jsonl` keeps an entry's rendered tails while
+    more trials need them. The views that :meth:`blocks` returns share the
+    run's rows, these counts and that text.
     """
 
-    def __init__(
-        self, plan: _Plan, rows: Sequence[Sequence[tuple[int, ...]]], uses: Counter
-    ) -> None:
+    def __init__(self, plan: _Plan, rows: Sequence[Sequence[tuple]], uses: Counter) -> None:
         self._plan = plan
         self._rows = rows  # per trial of the whole run
         self._steps = len(plan.steps)
         self._points = range(len(rows) * self._steps)  # the points of this view
-        self._uses = uses  # (step, raw) -> the run's rows of it
-        self._tails: dict = {}  # (step, raw) of more than one trial -> each rule's line tail
+        self._uses = uses  # id of a memo entry -> the run's rows of it
+        self._tails: dict = {}  # id of an entry of more than one trial -> each rule's line tail
         self._fixed: list = []  # per step: each rule's fixed text
         self._props_template = _template(plan.propositions)
         self._agents_template = _template(plan.agents)
@@ -364,8 +366,8 @@ class _RunRecords(Sequence):
         at, rule = divmod(position, self._rules)
         trial, step = divmod(self._points[at], self._steps)
         step_plan = self._plan.steps[step]
-        raw = self._rows[trial][step]
-        propagated, ties = step_plan.outcomes[raw][rule]
+        raw, outcomes = self._rows[trial][step]
+        propagated, ties = outcomes[rule]
         rule_plan = step_plan.rules[rule]
         props, agents = self._plan.propositions, self._plan.agents
 
@@ -378,34 +380,29 @@ class _RunRecords(Sequence):
         )
 
     def blocks(self) -> Iterator["_RunRecords"]:
-        """Views of as many whole points as TRACE_BLOCK_BYTES of text hold, and at least one.
+        """Views of ``TRACE_BLOCK_BYTES // worst`` whole points each, and at least one.
 
-        A point's text is estimated from its step's fixed text: each rule's
-        head and ``contributors`` map, and three maps of bools.
+        `worst` is the length of the longest point the run can write: its
+        longest step's lines at the run's last trial, with every bool
+        ``false``, not ``true``. So a block of more than one point never
+        renders more than TRACE_BLOCK_BYTES of text.
         """
         if not self._fixed:
             self._fixed.extend(self._fixed_texts())
         props, n = len(self._plan.propositions), len(self._plan.agents)
-        line_maps = 3 * props * len(self._agents_template)
-        contributors = len(',"contributors":' + self._contributors_template % (("",) * props * n))
-        # ends[s]: the bytes of a trial's steps before step s; ends[-1], a whole trial's
-        ends = [0]
-        for fixed in self._fixed:
-            ends.append(ends[-1] + sum(
-                len(head) + contributors + props * sum(map(len, voters)) + line_maps
-                for head, voters in fixed
-            ))
-        start, stop = self._points.start, self._points.stop
-        while start < stop:
-            # Counting bytes from the run's first point, the block ends at the last
-            # point boundary within TRACE_BLOCK_BYTES of its start.
-            trial, step = divmod(start, self._steps)
-            trial, rest = divmod(trial * ends[-1] + ends[step] + TRACE_BLOCK_BYTES, ends[-1])
-            end = min(max(trial * self._steps + bisect_right(ends, rest) - 1, start + 1), stop)
+        false = self._props_template % ((self._agents_template % (("false",) * n),) * props)
+        no_voters = self._contributors_template % (("",) * props * n)
+        # A line at the last trial, all false, but for its head and voter lists
+        line = len(f'{{"trial":{len(self._rows) - 1}' + _line("", false, false, no_voters, false))
+        worst = max(
+            sum(line + len(head) + props * sum(map(len, voters)) for head, voters in fixed)
+            for fixed in self._fixed
+        )
+        points, size = self._points, max(1, TRACE_BLOCK_BYTES // worst)
+        for start in range(0, len(points), size):
             block = copy.copy(self)
-            block._points = range(start, end)
+            block._points = points[start:start + size]
             yield block
-            start = end
 
     def _fixed_texts(self) -> Iterator[list[tuple[str, tuple[str, ...]]]]:
         """Per step: each rule's record head and, per receiver, its voters as a JSON list.
@@ -430,14 +427,14 @@ class _RunRecords(Sequence):
                 ))
             yield fixed
 
-    def _render(self, step: int, raw: tuple[int, ...]) -> tuple[str, ...]:
-        """Each rule's line after ``{"trial":N`` for a raw row, which fixes its outcomes."""
+    def _render(self, step: int, row: tuple) -> tuple[str, ...]:
+        """Each rule's line after ``{"trial":N`` for a row: a step memo's (raw, outcomes) entry."""
         if not self._fixed:
             self._fixed.extend(self._fixed_texts())
         props_template, agents_template = self._props_template, self._agents_template
         contributors_template = self._contributors_template
         props, n = len(self._plan.propositions), len(self._plan.agents)
-        outcomes = self._plan.steps[step].outcomes[raw]
+        raw, outcomes = row
 
         def text(rows) -> str:
             """{proposition: {agent: bool}} as JSON, from one mask per proposition."""
@@ -448,8 +445,7 @@ class _RunRecords(Sequence):
 
         raw_text = text(raw)
         return tuple(
-            f'{head}{raw_text},"propagated":{text(propagated)},"contributors":'
-            f'{contributors_template % (voters * props)},"tie_broken":{text(ties)}}}\n'
+            _line(head, raw_text, text(propagated), contributors_template % (voters * props), text(ties))
             for (head, voters), (propagated, ties) in zip(self._fixed[step], outcomes)
         )
 
@@ -473,12 +469,12 @@ class _RunRecords(Sequence):
             keys = enumerate(rows[trial])
             if not first < trial < last:  # only the first and last trial may be cut short
                 keys = islice(keys, skip if trial == first else 0, end + 1 if trial == last else steps)
-            for key in keys:  # (step, raw)
-                lines = tails.get(key)
+            for step, row in keys:
+                lines = tails.get(id(row))
                 if lines is None:
-                    lines = self._render(*key)
-                    if uses[key] > 1:
-                        tails[key] = lines
+                    lines = self._render(step, row)
+                    if uses[id(row)] > 1:
+                        tails[id(row)] = lines
                 for tail in lines:
                     parts += (trial_text, tail)
         if stop == len(rows) * steps:
@@ -488,7 +484,7 @@ class _RunRecords(Sequence):
         return "".join(parts)
 
 
-# Bytes of text per block of trace_blocks, at most, unless one point is larger: 80
+# Bytes of text per block of trace_blocks, at most, unless one point is larger: 55
 # intersection points a block; a crowd-drift point (330 kB) is its own block.
 TRACE_BLOCK_BYTES = 2**16
 
@@ -708,8 +704,8 @@ def _vote_rows(step: _StepPlan, raw: tuple[int, ...]) -> tuple[tuple[tuple, tupl
     return tuple(outcomes)
 
 
-def _run_trial(plan: _Plan, trial: int) -> tuple[tuple[int, ...], ...]:
-    """Draw every belief of one trial; each step's memo gets the votes of a new raw row.
+def _run_trial(plan: _Plan, trial: int) -> tuple[tuple, ...]:
+    """Draw every belief of one trial: per step, its memo's (raw, outcomes) entry.
 
     A raw mask is the truth mask with the :func:`flip_mask` of the trial's
     head and the plan's tails XORed in.
@@ -721,9 +717,10 @@ def _run_trial(plan: _Plan, trial: int) -> tuple[tuple[int, ...], ...]:
             truth ^ flip_mask(head, tails, step_plan.error_p)
             for tails, truth in zip(step_plan.tails, step_plan.truth)
         )
-        if raw not in step_plan.outcomes:
-            step_plan.outcomes[raw] = _vote_rows(step_plan, raw)
-        rows.append(raw)
+        entry = step_plan.outcomes.get(raw)
+        if entry is None:
+            entry = step_plan.outcomes[raw] = (raw, _vote_rows(step_plan, raw))
+        rows.append(entry)
     return tuple(rows)
 
 
@@ -732,12 +729,12 @@ def run(scenario: Scenario) -> tuple[Trace, Metrics]:
 
     Metrics come from the same tally of the trials' rows that
     :func:`compute_metrics` feeds from a trace's records. The rows are
-    counted by (step, raw); the step's memo gives each point's outcomes.
+    counted by memo entry; an entry holds its point's raw row and outcomes.
     """
     plan = _compile(scenario, validate_scenario(scenario))
     rows = [_run_trial(plan, trial) for trial in range(scenario.trials)]
-    seen = Counter((step, raw) for row in rows for step, raw in enumerate(row))
-    points = Counter({(s, raw, plan.steps[s].outcomes[raw]): n for (s, raw), n in seen.items()})
+    seen = Counter(map(id, chain.from_iterable(rows)))  # id of a memo entry -> its trials
+    points = Counter({(s, *e): seen[id(e)] for s, p in enumerate(plan.steps) for e in p.outcomes.values()})
     return Trace(_RunRecords(plan, rows, seen)), _tally(points, plan.agents, scenario)
 
 

@@ -560,12 +560,18 @@ class TestTraceSerialization:
             ]
 
     def test_blocks_are_sized_by_bytes_alone(self, scenario_dir):
-        # blocks() estimates an intersection point, one (trial, step), at 814 bytes, so 80
-        # points fill 2**16: 26 trials and 2 steps, and the 6,000 points make 75 blocks.
+        # blocks() bounds an intersection point, one (trial, step), by its longest step's
+        # three lines at trial 1999 with every bool false: 1,186 bytes, so 55 points fill
+        # 2**16, and the 6,000 points make 109 full blocks and one of 5.
         scenario = replace(read_scenario(scenario_dir / "intersection.scn"), trials=2000, seed=42)
         trace = run(scenario)[0]
-        sizes = [len(block.records) // 3 for block in trace_blocks(trace)]
-        assert sizes == [80] * 75
+        blocks = list(trace_blocks(trace))
+        sizes = [len(block.records) // 3 for block in blocks]
+        assert sizes == [55] * 109 + [5]
+        # A loose bound would leave full blocks far short of the cap.
+        full = [len(trace_to_jsonl(block)) for block in blocks[:-1]]
+        cap = simulator.TRACE_BLOCK_BYTES
+        assert 0.9 * cap <= min(full) <= max(full) <= cap
         # A 200-agent point passes the cap alone, so it is its own block.
         crowd = replace(parse_scenario(json.loads(crowd_scenario("full_broadcast"))), trials=2)
         points = crowd.trials * crowd.steps

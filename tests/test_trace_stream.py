@@ -1,12 +1,14 @@
 """`beliefsim run` writes trace.jsonl in blocks of whole (trial, step) points.
 
 A block may cut a trial between its steps, never a point between its
-rules. The streamed file must equal the whole run rendered at once and the
-record path (TraceRecord.to_dict + json.dumps) at every block boundary,
-and the manifest must count what was written. The writer must not hold
-the whole text, nor more than a block's points of 200-agent text, and it
-renders each (step, raw row)'s line tails once and keeps none after the
-last block.
+rules. Every full block holds TRACE_BLOCK_BYTES // (the run's longest
+point) points, so a block of more than one point stays within
+TRACE_BLOCK_BYTES. The streamed file must equal the whole run rendered
+at once and the record path (TraceRecord.to_dict + json.dumps) at every
+block boundary, and the manifest must count what was written. The writer
+must not hold the whole text, nor more than a block's points of 200-agent
+text, and it renders each (step, raw row)'s line tails once and keeps
+none after the last block.
 """
 
 import json
@@ -129,6 +131,20 @@ def test_manifest_counts_the_written_trace(mixed, tmp_path, capsys):
     assert manifest["trace_bytes"] == len(trace)
 
 
+def test_trials_share_their_step_memo_rows(scenario_dir, tmp_path, capsys):
+    # 20,000 intersection trials have 60,000 points but few distinct raw rows.
+    # A trial that keeps its own tuple per step holds 60,000 equal tuples, and
+    # the run peaks at 4.44 MiB; rows that reference the memo's entries peak
+    # at 1.71 MiB.
+    tracemalloc.start()
+    try:
+        _run_cli(scenario_dir / "intersection.scn", 20000, tmp_path / "out", "--seed", "42")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
+
+
 def test_writing_the_trace_holds_no_whole_copy(scenario_dir, tmp_path, capsys):
     # The 2,000-trial trace is about 7 MB; held whole, with its encoded copy,
     # the peak would be about 14 MB.
@@ -214,6 +230,12 @@ def test_every_block_size_cuts_at_points(block_bytes, text, trials, tmp_path, mo
     assert sorted(rendered) == sorted(distinct)
     assert not records._tails
     assert all(len(block.records) % len(scenario.rules) == 0 for block in blocks)
+    # Only a block of one point may pass the cap.
+    assert all(
+        len(text.encode("utf-8")) <= block_bytes
+        for block, text in zip(blocks, texts)
+        if len(block.records) > len(scenario.rules)
+    )
     # Every size here cuts some trial between two blocks.
     assert any(block.records._points.start % scenario.steps for block in blocks)
 
@@ -227,3 +249,32 @@ def test_every_block_size_cuts_at_points(block_bytes, text, trials, tmp_path, mo
     assert written == reference.encode("utf-8")
     assert manifest["records"] == written.count(b"\n") == len(records)
     assert manifest["trace_bytes"] == len(written)
+
+
+def _worst_point(records) -> int:
+    """The longest point's text: each step's lines for an all-false row at the last trial."""
+    props, rules = len(records._plan.propositions), len(records._plan.steps[0].rules)
+    false = (0,) * props
+    head = '{"trial":' + str(len(records._rows) - 1)
+    return max(
+        sum(len(head) + len(line) for line in records._render(step, (false, ((false, false),) * rules)))
+        for step in range(len(records._plan.steps))
+    )
+
+
+@pytest.mark.parametrize("name", ["intersection", "mixed", "graph-crowd"])
+def test_a_full_block_holds_the_cap_over_the_worst_point(name, scenario_dir, monkeypatch):
+    if name == "intersection":
+        scenario = replace(read_scenario(scenario_dir / "intersection.scn"), trials=2000)
+    else:
+        text, trials = (MIXED_SCENARIO, 20) if name == "mixed" else (crowd_scenario("graph"), 2)
+        scenario = replace(parse_scenario(yaml.safe_load(text)), trials=trials)
+    trace = run(scenario)[0]
+    worst = _worst_point(trace.records)
+    # Caps just below and at three worst points pin the bound to the byte.
+    for block_bytes in (512, 2**12, 2**16, 3 * worst - 1, 3 * worst):
+        monkeypatch.setattr(simulator, "TRACE_BLOCK_BYTES", block_bytes)
+        sizes = [len(block.records) // len(scenario.rules) for block in trace_blocks(trace)]
+        size = max(1, block_bytes // worst)
+        assert sizes[:-1] == [size] * (len(sizes) - 1) and 0 < sizes[-1] <= size
+        assert sum(sizes) == scenario.trials * scenario.steps
