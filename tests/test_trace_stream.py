@@ -56,10 +56,14 @@ def _run_cli(scenario, trials, out, *flags):
 # last trial cut between two blocks unless BLOCK is a multiple of STEPS), and the
 # trials that two blocks' points hold. 33 trials is a fixed many-block case: it
 # spans several blocks whatever size trace_blocks cuts, so the run is checked
-# past the first two boundaries too.
+# past the first two boundaries too. 7, 8, 9 and 17 are the same four cases
+# for a block of 34 points; fixed, they keep their ids when block sizing moves.
 @pytest.mark.parametrize(
     "trials",
-    sorted({1, max(TRIALS - 1, 1), max(TRIALS, 1), TRIALS + 1, 2 * BLOCK // STEPS, 33}),
+    sorted(
+        {1, max(TRIALS - 1, 1), max(TRIALS, 1), TRIALS + 1, 2 * BLOCK // STEPS}
+        | {7, 8, 9, 17, 33}
+    ),
 )
 def test_streamed_trace_equals_whole_and_record_renderings(trials, mixed, tmp_path, capsys):
     out = _run_cli(mixed, trials, tmp_path / "out")
